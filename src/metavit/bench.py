@@ -3,8 +3,9 @@
 Timing uses the monotonic high-resolution clock only. Runs are warmed up,
 then every measured iteration is recorded individually; the median is the
 headline number for comparisons (robust to scheduler jitter), with mean
-and standard deviation reported alongside. BLAS thread pools are pinned
-to one thread during measurement so latency ratios track arithmetic cost.
+and standard deviation reported alongside. When ``threadpoolctl`` can be
+imported, BLAS thread pools are pinned to one thread during measurement
+so latency ratios track arithmetic cost; without it nothing is pinned.
 """
 
 from __future__ import annotations
@@ -110,6 +111,11 @@ def bench_block_pair(
                 block(TokenGrid(Tensor(tokens), side, side), Tensor(meta))
         return fn
 
+    # Warm both blocks before timing either. The first block timed in a
+    # process otherwise runs about 25% slower than in later calls, until the
+    # other block's larger buffers have grown the allocator's pools.
+    for fn in (run(dca), run(sa)) * 2:
+        fn()
     dca_samples = _time_loop(run(dca), warmup, iters)
     sa_samples = _time_loop(run(sa), warmup, iters)
     return (

@@ -54,6 +54,17 @@ class TokenGrid:
     def dim(self) -> int:
         return self.tokens.shape[-1]
 
+    def image(self) -> Tensor:
+        """The tokens as a channels-last (..., H, W, D) image (no copy)."""
+        lead = self.tokens.shape[:-2]
+        return T.reshape(self.tokens, lead + (self.height, self.width, self.dim))
+
+    @classmethod
+    def from_image(cls, img: Tensor) -> "TokenGrid":
+        """Flatten a channels-last (..., H, W, D) image into a token grid."""
+        *lead, h, w, d = img.shape
+        return cls(T.reshape(img, tuple(lead) + (h * w, d)), h, w)
+
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
     """Normal(0, std) resampled until all draws fall within two deviations."""
@@ -130,19 +141,11 @@ class Cpe:
             raise ContractError(
                 f"cpe needs a grid of at least 2x2 tokens, got {grid.height}x{grid.width}"
             )
-        x = grid.tokens
-        lead = x.shape[:-2]
-        d = x.shape[-1]
-        img = T.reshape(x, lead + (grid.height, grid.width, d))
-        axes = list(range(img.ndim))
-        axes = axes[:-3] + [axes[-1], axes[-3], axes[-2]]
-        img = T.permute(img, axes)  # (..., D, H, W)
-        conv = T.conv2d(img, self.w, self.b, stride=1, padding=self.kernel // 2, groups=d)
-        back = list(range(conv.ndim))
-        back = back[:-3] + [back[-2], back[-1], back[-3]]
-        conv = T.permute(conv, back)  # (..., H, W, D)
-        conv = T.reshape(conv, lead + (grid.height * grid.width, d))
-        return TokenGrid(T.add(x, conv), grid.height, grid.width)
+        conv = T.conv2d(
+            grid.image(), self.w, self.b, padding=self.kernel // 2, groups=grid.dim
+        )
+        pos = TokenGrid.from_image(conv).tokens
+        return TokenGrid(T.add(grid.tokens, pos), grid.height, grid.width)
 
 
 class ImageStem:
@@ -154,20 +157,16 @@ class ImageStem:
         self.b1 = store.zeros(f"{name}.conv1.b", (mid,))
         self.w2 = store.weight(f"{name}.conv2.w", (d1, mid, 3, 3))
         self.b2 = store.zeros(f"{name}.conv2.b", (d1,))
-        self.d1 = d1
 
     def __call__(self, img: Tensor) -> TokenGrid:
         h, w = img.shape[-2], img.shape[-1]
         if h % 4 or w % 4:
             raise InputError(f"image extents must be divisible by 4, got {h}x{w}")
-        x = T.gelu(T.conv2d(img, self.w1, self.b1, stride=2, padding=1))
+        axes = list(range(img.ndim))
+        x = T.permute(img, axes[:-3] + [axes[-2], axes[-1], axes[-3]])  # (..., H, W, 3)
+        x = T.gelu(T.conv2d(x, self.w1, self.b1, stride=2, padding=1))
         x = T.gelu(T.conv2d(x, self.w2, self.b2, stride=2, padding=1))
-        lead = x.shape[:-3]
-        ho, wo = h // 4, w // 4
-        axes = list(range(x.ndim))
-        axes = axes[:-3] + [axes[-2], axes[-1], axes[-3]]
-        tokens = T.reshape(T.permute(x, axes), lead + (ho * wo, self.d1))
-        return TokenGrid(tokens, ho, wo)
+        return TokenGrid.from_image(x)
 
 
 class MetaStem:
@@ -189,27 +188,14 @@ class Downsample:
     def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int):
         self.w = store.weight(f"{name}.conv.w", (d_out, d_in, 3, 3))
         self.b = store.zeros(f"{name}.conv.b", (d_out,))
-        self.d_out = d_out
 
     def __call__(self, grid: TokenGrid) -> TokenGrid:
         if grid.height < 2 or grid.width < 2:
             raise InputError(
                 f"cannot downsample a degenerate {grid.height}x{grid.width} grid"
             )
-        x = grid.tokens
-        lead = x.shape[:-2]
-        d = x.shape[-1]
-        img = T.reshape(x, lead + (grid.height, grid.width, d))
-        axes = list(range(img.ndim))
-        axes = axes[:-3] + [axes[-1], axes[-3], axes[-2]]
-        img = T.permute(img, axes)
-        conv = T.conv2d(img, self.w, self.b, stride=2, padding=1)
-        ho = (grid.height + 1) // 2
-        wo = (grid.width + 1) // 2
-        back = list(range(conv.ndim))
-        back = back[:-3] + [back[-2], back[-1], back[-3]]
-        tokens = T.reshape(T.permute(conv, back), lead + (ho * wo, self.d_out))
-        return TokenGrid(tokens, ho, wo)
+        conv = T.conv2d(grid.image(), self.w, self.b, stride=2, padding=1)
+        return TokenGrid.from_image(conv)
 
 
 class _SharedProjections:

@@ -21,11 +21,12 @@ to rebuild the model. Round trips are bit-exact.
 
 from __future__ import annotations
 
+import io
 import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .model import Model, VariantSpec, variant_names, _REGISTRY
 
 MAGIC = b"LMVT"
@@ -60,7 +61,13 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 def read_record(f) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-    name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+    name_at = f.tell()
+    try:
+        name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"tensor name is not UTF-8: {exc.reason}", offset=name_at + exc.start
+        ) from None
     start = f.tell()
     dtype_code, ndim = struct.unpack("<BB", _read_exact(f, 2, "dtype/ndim"))
     if dtype_code != DTYPE_F32:
@@ -71,9 +78,21 @@ def read_record(f) -> tuple[str, np.ndarray]:
     count = 1
     for d in dims:
         count *= d
+    # checked before reading so a forged header cannot size an allocation
+    here = f.tell()
+    left = f.seek(0, io.SEEK_END) - here
+    f.seek(here)
+    if 4 * count > left:
+        raise FormatError(
+            f"payload of {name!r} needs {4 * count} bytes, the file has {left} left",
+            offset=here,
+        )
     payload = _read_exact(f, 4 * count, f"payload of {name!r}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
-    return name, arr
+    try:  # too many dims, or a zero-size shape whose other dims overflow
+        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+    except ValueError as exc:
+        raise FormatError(f"shape {dims} of {name!r}: {exc}", offset=start) from None
+    return name, arr.astype(np.float32)
 
 
 def save_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
@@ -129,27 +148,35 @@ def _spec_from_config(cfg: dict[str, np.ndarray]) -> VariantSpec:
         toggles = [bool(x) for x in cfg[_CONFIG_PREFIX + "toggles"]]
     except KeyError as missing:
         raise FormatError(f"checkpoint is missing {missing.args[0]!r}") from None
+    if len(scalars) != 6 or len(toggles) != 4:
+        raise FormatError(
+            f"checkpoint config needs 6 scalars and 4 toggles, got "
+            f"{len(scalars)} and {len(toggles)}"
+        )
     name = "custom"
     for known in variant_names():
         row = _REGISTRY[known]
         if row.blocks == blocks and row.dims == dims:
             name = known
             break
-    return VariantSpec(
-        name,
-        blocks,
-        dims,
-        meta_len=scalars[0],
-        meta_dim0=scalars[1],
-        head_dim=scalars[2],
-        expansion=scalars[3],
-        cpe_kernel=scalars[4],
-        num_classes=scalars[5],
-        use_ca_stage=toggles[0],
-        use_meta_stem=toggles[1],
-        use_meta_pooling=toggles[2],
-        dca_sequential=toggles[3],
-    )
+    try:
+        return VariantSpec(
+            name,
+            blocks,
+            dims,
+            meta_len=scalars[0],
+            meta_dim0=scalars[1],
+            head_dim=scalars[2],
+            expansion=scalars[3],
+            cpe_kernel=scalars[4],
+            num_classes=scalars[5],
+            use_ca_stage=toggles[0],
+            use_meta_stem=toggles[1],
+            use_meta_pooling=toggles[2],
+            dca_sequential=toggles[3],
+        )
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint config is invalid: {exc}") from None
 
 
 def save_checkpoint(model: Model, path: str) -> None:

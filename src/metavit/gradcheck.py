@@ -113,18 +113,28 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
     xg = leaf(5, 7)
     cases.append(CheckCase("gelu", fd_check(lambda: _weighted_sum(T.gelu(xg)), [xg])))
 
-    xc, wc, bc = leaf(2, 3, 6, 6), leaf(4, 3, 3, 3), leaf(4)
+    # conv inputs are channels-last (B, H, W, C)
+    xc, wc, bc = leaf(2, 6, 6, 3), leaf(4, 3, 3, 3), leaf(4)
     cases.append(CheckCase(
         "conv2d",
         fd_check(lambda: _weighted_sum(T.conv2d(xc, wc, bc, stride=2, padding=1)), [xc, wc, bc]),
     ))
 
-    xd, wd, bd = leaf(2, 4, 5, 5), leaf(4, 1, 3, 3), leaf(4)
+    xd, wd, bd = leaf(2, 5, 5, 4), leaf(4, 1, 3, 3), leaf(4)
     cases.append(CheckCase(
         "conv2d-depthwise",
         fd_check(
             lambda: _weighted_sum(T.conv2d(xd, wd, bd, stride=1, padding=1, groups=4)),
             [xd, wd, bd],
+        ),
+    ))
+
+    xgc, wgc, bgc = leaf(2, 5, 5, 4), leaf(6, 2, 3, 3), leaf(6)
+    cases.append(CheckCase(
+        "conv2d-grouped",
+        fd_check(
+            lambda: _weighted_sum(T.conv2d(xgc, wgc, bgc, stride=2, padding=1, groups=2)),
+            [xgc, wgc, bgc],
         ),
     ))
 

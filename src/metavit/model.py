@@ -58,6 +58,8 @@ class VariantSpec:
             raise ConfigError("need 5 block counts and 4 stage widths")
         if any(b < 0 for b in self.blocks):
             raise ConfigError(f"block counts must be non-negative: {self.blocks}")
+        if self.head_dim < 1:
+            raise ConfigError(f"head_dim must be positive, got {self.head_dim}")
         if any(d <= 0 or d % self.head_dim for d in self.dims):
             raise ConfigError(
                 f"stage widths {self.dims} must be positive multiples of "

@@ -474,17 +474,23 @@ def conv2d(
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """Grouped 2-D cross-correlation.
+    """Grouped 2-D cross-correlation over channels-last input.
 
-    ``x`` is (Cin, H, W) or (B, Cin, H, W); ``w`` is (Cout, Cin/groups, k, k).
-    ``groups == Cin == Cout`` is the depthwise case and takes a fast path of
-    k*k shifted multiply-adds instead of im2col.
+    ``x`` is (H, W, Cin) or (B, H, W, Cin) and the output is (Ho, Wo, Cout)
+    or (B, Ho, Wo, Cout); ``w`` is (Cout, Cin/groups, k, k). A token grid
+    (..., H*W, D) reshaped to (..., H, W, D) is a valid input without a copy.
+    Every output position reads a (k, k, Cin) window of one strided view.
+    ``groups == Cin == Cout`` is the depthwise case: one einsum over the
+    windows forward and for dw, k*k shifted multiply-adds for dx. Otherwise
+    each group's windows are copied into im2col rows once and the forward,
+    dw and dx are one matrix product each, dx followed by a k*k col2im
+    scatter-add.
     """
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
     if xd.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-D input/weight, got {x.shape}, {w.shape}")
-    bsz, cin, h, wd_ = xd.shape
+    bsz, h, wd_, cin = xd.shape
     cout, cin_g, kh, kw = w.shape
     if kh != kw:
         raise DimensionError(f"conv2d kernels must be square, got {w.shape}")
@@ -503,85 +509,85 @@ def conv2d(
         )
     ho = _conv_out_extent(h, k, stride, padding)
     wo = _conv_out_extent(wd_, k, stride, padding)
+    cout_g = cout // groups
+    _count_macs(bsz * cout * ho * wo * cin_g * k * k)
 
     if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     else:
         xp = xd
-
+    # (B, Ho, Wo, k, k, Cin) view of every output position's window
+    s0, s1, s2, s3 = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (bsz, ho, wo, k, k, cin), (s0, stride * s1, stride * s2, s1, s2, s3)
+    )
+    n = bsz * ho * wo
+    # (k, k, Cin/groups, Cout): tap-major weights matching the window layout
+    wt = w.data.transpose(2, 3, 1, 0)
     depthwise = groups == cin == cout
-    if depthwise:
-        out = np.zeros((bsz, cout, ho, wo), dtype=xd.dtype)
-        wdw = w.data[:, 0]  # (C, k, k)
-        for ki in range(k):
-            for kj in range(k):
-                sl = xp[:, :, ki : ki + ho * stride : stride, kj : kj + wo * stride : stride]
-                out += wdw[:, ki, kj][None, :, None, None] * sl
-        _count_macs(bsz * cout * ho * wo * k * k)
-    else:
-        # im2col: gather (B, Hout, Wout, Cin, k, k) windows, one gemm per group
-        s0, s1, s2, s3 = xp.strides
-        win = np.lib.stride_tricks.as_strided(
-            xp,
-            (bsz, ho, wo, cin, k, k),
-            (s0, stride * s2, stride * s3, s1, s2, s3),
-        )
-        win = win.reshape(bsz, ho, wo, groups, cin_g * k * k)
-        wmat = w.data.reshape(groups, cout // groups, cin_g * k * k)
-        out = np.einsum("bhwgi,goi->bgohw", win, wmat, optimize=True)
-        out = np.ascontiguousarray(out.reshape(bsz, cout, ho, wo))
-        _count_macs(bsz * cout * ho * wo * cin_g * k * k)
 
+    def cols(gi):
+        """im2col rows of group ``gi``: a (B*Ho*Wo, k*k*Cin/groups) copy."""
+        return win[..., gi * cin_g : (gi + 1) * cin_g].reshape(n, k * k * cin_g)
+
+    def wmat(gi):
+        return wt[..., gi * cout_g : (gi + 1) * cout_g].reshape(k * k * cin_g, cout_g)
+
+    if depthwise:
+        out = np.einsum("bhwijc,ijc->bhwc", win, np.ascontiguousarray(wt[:, :, 0]))
+    else:
+        out = np.empty((n, cout), dtype=xd.dtype)
+        for gi in range(groups):
+            np.matmul(cols(gi), wmat(gi), out=out[:, gi * cout_g : (gi + 1) * cout_g])
+        out = out.reshape(bsz, ho, wo, cout)
     if b is not None:
-        out = out + b.data[None, :, None, None]
+        out += b.data
 
     parents = (x, w) if b is None else (x, w, b)
 
-    def vjp(g):
-        if squeeze:
-            gg = g[None] if g.ndim == 3 else g
-        else:
-            gg = g
+    def tap(a, ki, kj):
+        """The (B, Ho, Wo, C) view of ``a`` read by kernel tap (ki, kj)."""
+        return a[:, ki : ki + ho * stride : stride, kj : kj + wo * stride : stride]
+
+    def input_grad(gg):
         dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w.data)
         if depthwise:
-            wdw_ = w.data[:, 0]
             for ki in range(k):
                 for kj in range(k):
-                    sl = xp[:, :, ki : ki + ho * stride : stride, kj : kj + wo * stride : stride]
-                    dw[:, 0, ki, kj] = (gg * sl).sum(axis=(0, 2, 3))
-                    dxp[:, :, ki : ki + ho * stride : stride, kj : kj + wo * stride : stride] += (
-                        wdw_[:, ki, kj][None, :, None, None] * gg
-                    )
+                    dst = tap(dxp, ki, kj)
+                    dst += gg * wt[ki, kj, 0]
         else:
-            s0, s1, s2, s3 = xp.strides
-            win = np.lib.stride_tricks.as_strided(
-                xp,
-                (bsz, ho, wo, cin, k, k),
-                (s0, stride * s2, stride * s3, s1, s2, s3),
-            ).reshape(bsz, ho, wo, groups, cin_g * k * k)
-            gr = gg.reshape(bsz, groups, cout // groups, ho, wo)
-            dw[...] = np.einsum("bhwgi,bgohw->goi", win, gr, optimize=True).reshape(w.shape)
-            wmat_ = w.data.reshape(groups, cout // groups, cin_g, k, k)
-            for ki in range(k):
-                for kj in range(k):
-                    contrib = np.einsum(
-                        "bgohw,goi->bgihw", gr, wmat_[:, :, :, ki, kj], optimize=True
-                    ).reshape(bsz, cin, ho, wo)
-                    dxp[:, :, ki : ki + ho * stride : stride, kj : kj + wo * stride : stride] += contrib
-        if padding:
-            dx = dxp[:, :, padding:-padding, padding:-padding]
+            gm = gg.reshape(n, cout)
+            for gi in range(groups):
+                co = slice(gi * cout_g, (gi + 1) * cout_g)
+                dcols = (gm[:, co] @ wmat(gi).T).reshape(bsz, ho, wo, k, k, cin_g)
+                # col2im: scatter-add each tap's columns back into the padded input
+                for ki in range(k):
+                    for kj in range(k):
+                        dst = tap(dxp, ki, kj)[..., gi * cin_g : (gi + 1) * cin_g]
+                        dst += dcols[:, :, :, ki, kj]
+        dx = dxp[:, padding : padding + h, padding : padding + wd_]
+        return dx[0] if squeeze else dx
+
+    def vjp(g):
+        gg = g.reshape(bsz, ho, wo, cout)
+        if depthwise:
+            dwt = np.einsum("bhwijc,bhwc->ijc", win, gg)[:, :, None]
         else:
-            dx = dxp
-        if squeeze:
-            dx = dx[0]
-        grads = [dx, dw]
+            gm = gg.reshape(n, cout)
+            dwt = np.empty_like(wt)
+            for gi in range(groups):
+                co = slice(gi * cout_g, (gi + 1) * cout_g)
+                dwt[..., co] = (cols(gi).T @ gm[:, co]).reshape(k, k, cin_g, cout_g)
+        grads = [
+            input_grad(gg) if x.requires_grad else None,
+            np.ascontiguousarray(dwt.transpose(3, 2, 0, 1)),
+        ]
         if b is not None:
-            grads.append(gg.sum(axis=(0, 2, 3)))
+            grads.append(gg.sum(axis=(0, 1, 2)))
         return tuple(grads)
 
-    out_final = out[0] if squeeze else out
-    return _node(out_final, parents, vjp, "conv2d")
+    return _node(out[0] if squeeze else out, parents, vjp, "conv2d")
 
 
 # ---------------------------------------------------------------------------

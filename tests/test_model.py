@@ -46,6 +46,10 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             variant("tiny", meta_len=1)
 
+    def test_zero_head_dim_rejected(self):
+        with pytest.raises(ConfigError):
+            variant("tiny", head_dim=0)
+
 
 class TestForward:
     def test_classify_shapes_and_stage_token_counts(self, rng):
@@ -222,6 +226,51 @@ class TestCheckpoint:
         open(path, "wb").write(bytes(data))
         with pytest.raises(FormatError):
             load_tensors(path)
+
+    def test_non_utf8_name_rejected_with_offset(self, tmp_path):
+        path = str(tmp_path / "t.lmvt")
+        save_tensors(path, {"ab": np.zeros(2, dtype=np.float32)})
+        data = bytearray(open(path, "rb").read())
+        # second name byte sits after magic(4) + version/count(8) + name_len(2) + "a"
+        data[4 + 8 + 2 + 1] = 0xFF
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(FormatError) as err:
+            load_tensors(path)
+        assert err.value.offset == 4 + 8 + 2 + 1
+
+    @pytest.mark.parametrize("dims", [(0xFFFFFFFF, 0xFFFFFFFF), (4096, 4096, 4096)])
+    def test_payload_larger_than_file_rejected(self, tmp_path, dims):
+        path = str(tmp_path / "t.lmvt")
+        header = b"LMVT" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x"
+        header += struct.pack("<BB", 0, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+        open(path, "wb").write(header + bytes(64))
+        with pytest.raises(FormatError) as err:
+            load_tensors(path)
+        assert err.value.offset == len(header)
+
+    @pytest.mark.parametrize("dims,payload", [((1,) * 65, 4), ((0, 0xFFFFFFFF, 0xFFFFFFFF), 0)])
+    def test_unrepresentable_shape_rejected(self, tmp_path, dims, payload):
+        path = str(tmp_path / "t.lmvt")
+        header = b"LMVT" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x"
+        record = struct.pack("<BB", 0, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+        open(path, "wb").write(header + record + bytes(payload))
+        with pytest.raises(FormatError) as err:
+            load_tensors(path)
+        assert err.value.offset == len(header)
+
+    @pytest.mark.parametrize("key,value", [
+        ("config/scalars", [16, 64, 32]),
+        ("config/toggles", [1.0]),
+        ("config/scalars", [16, 64, 0, 4, 3, 3]),  # head_dim 0
+    ])
+    def test_bad_config_rejected(self, tmp_path, key, value):
+        path = str(tmp_path / "m.lmvt")
+        save_checkpoint(toy_model(), path)
+        table = load_tensors(path)
+        table[key] = np.array(value, dtype=np.float32)
+        save_tensors(path, table)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
     def test_toggles_survive_round_trip(self, tmp_path, rng):
         model = toy_model(seed=1, use_meta_pooling=False, dca_sequential=True)

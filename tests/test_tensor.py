@@ -127,27 +127,37 @@ class TestGelu:
         assert (np.diff(y) > 0).all()
 
 
+def _nhwc(a):
+    """Channels-first (..., C, H, W) to the channels-last layout conv2d takes."""
+    return np.moveaxis(a, -3, -1)
+
+
+def _nchw(a):
+    """Channels-last conv2d output back to (..., C, H, W) for comparison."""
+    return np.moveaxis(a, -1, -3)
+
+
 class TestConv2d:
     def test_1x1_identity(self, rng):
         x = rng.standard_normal((2, 5, 5))
         w = np.zeros((2, 2, 1, 1))
         w[0, 0] = w[1, 1] = 1.0
-        out = T.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(2)))
-        assert_allclose(out.data, x)
+        out = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(np.zeros(2)))
+        assert_allclose(_nchw(out.data), x)
 
     def test_all_ones_kernel_border_sums(self):
-        x = Tensor(np.ones((1, 5, 5)))
+        x = Tensor(_nhwc(np.ones((1, 5, 5))))
         w = Tensor(np.ones((1, 1, 3, 3)))
-        out = T.conv2d(x, w, Tensor(np.zeros(1)), padding=1).data[0]
+        out = _nchw(T.conv2d(x, w, Tensor(np.zeros(1)), padding=1).data)[0]
         assert out[2, 2] == 9.0
         assert out[0, 2] == 6.0
         assert out[0, 0] == 4.0
 
     def test_stride2_shape_arithmetic(self):
-        x = Tensor(np.zeros((3, 224, 224), dtype=np.float32))
+        x = Tensor(_nhwc(np.zeros((3, 224, 224), dtype=np.float32)))
         w = Tensor(np.zeros((8, 3, 3, 3), dtype=np.float32))
         out = T.conv2d(x, w, Tensor(np.zeros(8, dtype=np.float32)), stride=2, padding=1)
-        assert out.shape == (8, 112, 112)
+        assert _nchw(out.data).shape == (8, 112, 112)
 
     @pytest.mark.parametrize("stride,padding,groups", [(1, 0, 1), (2, 1, 1), (1, 1, 2), (2, 1, 4)])
     def test_against_sliding_window_oracle(self, rng, stride, padding, groups):
@@ -155,15 +165,16 @@ class TestConv2d:
         x = rng.standard_normal((2, cin, 6, 7))
         w = rng.standard_normal((cout, cin // groups, 3, 3))
         b = rng.standard_normal(cout)
-        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), stride=stride,
                        padding=padding, groups=groups).data
-        assert_allclose(got, naive_conv2d(x, w, b, stride, padding, groups), rtol=1e-6, atol=1e-8)
+        assert_allclose(_nchw(got), naive_conv2d(x, w, b, stride, padding, groups),
+                        rtol=1e-6, atol=1e-8)
 
     def test_groups1_equals_im2col_reference(self, rng):
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
         w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
         b = rng.standard_normal(5).astype(np.float32)
-        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=1).data
+        got = _nchw(T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), stride=1, padding=1).data)
         # independent im2col assembled with stride tricks and einsum
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         s0, s1, s2, s3 = xp.strides
@@ -176,8 +187,8 @@ class TestConv2d:
         x = rng.standard_normal((2, d, 5, 5))
         w = rng.standard_normal((d, 1, 3, 3))
         b = rng.standard_normal(d)
-        got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1, groups=d).data
-        assert_allclose(got, naive_conv2d(x, w, b, 1, 1, d), rtol=1e-6, atol=1e-8)
+        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), padding=1, groups=d).data
+        assert_allclose(_nchw(got), naive_conv2d(x, w, b, 1, 1, d), rtol=1e-6, atol=1e-8)
 
     def test_bad_groups_rejected(self):
         with pytest.raises(DimensionError):
@@ -185,7 +196,7 @@ class TestConv2d:
 
     def test_kernel_larger_than_padded_input_rejected(self):
         with pytest.raises(DimensionError):
-            T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
+            T.conv2d(Tensor(_nhwc(np.zeros((1, 2, 2)))), Tensor(np.zeros((1, 1, 3, 3))))
 
 
 class TestGlobalAvgPool:
