@@ -14,6 +14,8 @@ import csv
 import os
 import sys
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import checkpoint as ckpt
 from . import complexity, fileio, gradcheck, trainer
@@ -175,8 +177,11 @@ def _load_image(path: str) -> Tensor:
     if path is None:
         raise UsageError("an --image path is required")
     if path.endswith(".ppm"):
-        return Tensor(fileio.read_ppm(path))
-    _, arr = fileio.read_tensor_file(path)
+        arr = fileio.read_ppm(path)
+    else:
+        _, arr = fileio.read_tensor_file(path)
+    if not np.isfinite(arr).all():
+        raise InputError(f"image {path} has NaN or infinite pixel values")
     return Tensor(arr)
 
 

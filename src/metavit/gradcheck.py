@@ -157,6 +157,15 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
             [q, k, v],
         ),
     ))
+
+    # one non-leaf read by three ops; sum_all's read-only broadcast view reaches it first
+    xf, wf = leaf(3, 4), leaf(4, 2)
+
+    def fan_in():
+        h = T.gelu(xf)
+        return T.add(T.sum_all(h), _weighted_sum(T.matmul(h, wf), h))
+
+    cases.append(CheckCase("fan-in", fd_check(fan_in, [xf, wf])))
     return cases
 
 

@@ -75,6 +75,19 @@ class TestExitCodes:
         bad.write_bytes(b"XXXXgarbage")
         assert main(["infer", "--checkpoint", str(bad), "--image", image_file]) == 2
 
+    @pytest.mark.parametrize("command", ["infer", "attmap"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_is_data_error(self, tmp_path, capsys, ckpt_file, command, bad):
+        img = np.zeros((3, 64, 64), dtype=np.float32)
+        img[1, 5, 7] = bad
+        path = tmp_path / "bad.ten"
+        fileio.write_tensor_file(str(path), img, name="image")
+        extra = ["--out-dir", str(tmp_path / "maps")] if command == "attmap" else []
+        code = main([command, "--checkpoint", ckpt_file, "--image", str(path)] + extra)
+        assert code == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not (tmp_path / "maps").exists()
+
 
 class TestAnalyze:
     def test_prints_seed_and_report(self, capsys):

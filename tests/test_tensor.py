@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -272,12 +273,75 @@ class TestBackward:
         assert len(set(id(n) for n in graph.nodes)) == len(graph.nodes)
         T.backward(loss, graph)
         assert_allclose(x.grad, [8.0])
+        assert len(graph) == 0  # a graph handed to backward is used up
 
     def test_grads_populated_on_all_leaves(self, rng):
         leaves = [Tensor(rng.standard_normal((2, 2)), requires_grad=True) for _ in range(3)]
         loss = T.sum_all(T.matmul(T.add(leaves[0], leaves[1]), leaves[2]))
         T.backward(loss)
         assert all(leaf.grad is not None for leaf in leaves)
+
+    def test_graph_consumed_by_backward(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4))
+        h = T.gelu(T.linear(x, w))
+        loss = T.mean_all(T.layer_norm(T.add(h, h), gamma, beta))
+        nodes = list(Graph.trace(loss).nodes)
+        inner = [n for n in nodes if n._vjp is not None]
+        assert len(inner) >= 5
+        T.backward(loss)
+        for n in inner:
+            assert n.grad is None and n._vjp is None and n._parents == (), n.op
+        assert all(leaf.grad is not None for leaf in (x, w, gamma))
+
+    def test_second_backward_through_used_graph_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = T.sum_all(T.mul(x, x))
+        T.backward(loss)
+        with pytest.raises(ContractError):
+            T.backward(loss)
+        assert_allclose(x.grad, [2.0, 4.0])
+
+    def test_dropped_intermediates_freed_by_backward(self, rng):
+        x = Tensor(rng.standard_normal((8, 16)), requires_grad=True)
+        h = T.gelu(T.matmul(x, Tensor(rng.standard_normal((16, 16)))))
+        loss = T.sum_all(T.layer_norm(h, Tensor(np.ones(16)), Tensor(np.zeros(16))))
+        buffer = weakref.ref(h.data)
+        del h
+        assert buffer() is not None  # the caller's loss still reaches it
+        T.backward(loss)
+        assert buffer() is None
+        assert x.grad is not None
+
+    def test_leaf_grads_private_when_vjp_returns_one_array_twice(self, rng):
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        T.backward(T.sum_all(T.add(a, b)))
+        assert a.grad is not b.grad
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+        a.grad += 1.0
+        assert_allclose(a.grad, np.full((2, 3), 2.0))
+        assert_allclose(b.grad, np.ones((2, 3)))
+
+    def test_leaf_grad_from_broadcast_view_is_owned(self):
+        x = Tensor(np.zeros((3, 2)), requires_grad=True)
+        T.backward(T.sum_all(x))
+        assert x.grad.flags.writeable and x.grad.flags.owndata
+        assert_allclose(x.grad, np.ones((3, 2)))
+
+    def test_leaf_keeps_its_dtype(self):
+        x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+        w = Tensor(np.array([3.0, -4.0]), dtype=np.float64)
+        once = T.mul(x, w)
+        assert once.dtype == np.float64
+        T.backward(T.sum_all(once))
+        assert x.grad.dtype == np.float32
+        assert_allclose(x.grad, [3.0, -4.0])
+        x.grad = None
+        T.backward(T.sum_all(T.add(T.mul(x, w), T.mul(x, w))))  # accumulated twice
+        assert x.grad.dtype == np.float32
+        assert_allclose(x.grad, [6.0, -8.0])
 
 
 class TestNoGradAndMeters:
