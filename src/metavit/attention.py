@@ -116,14 +116,15 @@ def multi_head_attention(
     v: Tensor,
     cfg: AttentionConfig,
     params: MhaParams,
-    retained: dict | None = None,
-) -> Tensor:
+    return_attn: bool = False,
+):
     """Project, split into dim/head_dim heads, attend per head, reproject.
 
     With entropy-invariant scaling the per-head scale is
     entropy_scale(N1, N2, head_dim); standard scaling uses sqrt(head_dim).
-    When ``retained`` is given, the head-averaged attention matrix is stored
-    under the key ``"attn"`` as a plain array for later visualization.
+    Returns the output, or (output, attention) when ``return_attn`` is set;
+    the attention is averaged over heads, a plain (..., N1, N2) array for
+    visualization.
     """
     for name, t in (("q", q), ("k", k), ("v", v)):
         if t.shape[-1] != cfg.dim:
@@ -144,6 +145,7 @@ def multi_head_attention(
         scale = math.sqrt(cfg.head_dim)
 
     out, attn = scaled_dot_product_attention(qp, kp, vp, scale, return_attn=True)
-    if retained is not None:
-        retained["attn"] = attn.data.mean(axis=-3)  # average over heads
-    return T.linear(_merge_heads(out), params.wo, params.bo)
+    out = T.linear(_merge_heads(out), params.wo, params.bo)
+    if return_attn:
+        return out, attn.data.mean(axis=-3)  # average over heads
+    return out

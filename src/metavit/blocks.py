@@ -1,23 +1,33 @@
 """Attention blocks, token stems, positional encoding, and downsampling.
 
-Three block types operate on an image-token grid plus a short meta-token
-stream. All use a pre-norm layout with residual connections and share one
-FFN between the two streams:
+The three attention blocks are one pre-norm block over two streams, an
+image-token grid ("img") and a short meta-token stream ("meta"), driven
+by a per-kind route in ``ROUTES``. A route lists the attention branches
+as (updated stream <- key/value stream), says whether conditional
+positional encoding (CPE) runs on the grid first, and picks the scaling:
 
-* cross-attention block: meta tokens attend to image tokens; image tokens
-  pass through untouched.
-* dual cross-attention block: two parallel cross-attention branches read
-  the same post-CPE, post-norm values; image tokens query meta tokens
-  while meta tokens query image tokens. Cost is linear in the image token
-  count instead of quadratic.
-* standard attention block: each stream runs self-attention on its own,
-  no cross terms.
+* ``ca`` cross-attention: meta <- img; image tokens pass through untouched.
+* ``dca`` dual cross-attention: img <- meta and meta <- img, after CPE.
+  Both branches read the same post-CPE, post-norm values; the sequential
+  variant lets the meta branch read the re-normed updated image instead.
+  Cost is linear in the image token count instead of quadratic.
+* ``sa`` standard attention: img <- img and meta <- meta, after CPE; no
+  cross terms.
 
-Query/key/value projections are shared between the two streams inside a
-block (each stream is projected once and the branches consume the results
-crosswise); each branch owns its output projection. Cross-attention sites
-use entropy-invariant scaling, self-attention uses standard scaling (the
-two agree when query and key counts match).
+Each branch queries its own normed stream, and each updated stream ends
+with a residual through the FFN that both streams share. The q/k/v
+projection weights are shared by the branches of a block (each branch
+projects its own inputs with them); each branch owns its output
+projection. Cross-attention routes use entropy-invariant scaling, self
+attention standard scaling (the two agree when query and key counts
+match).
+
+The route also fixes parameter names and registration order, which
+seeded weights and checkpoints depend on: ``cpe``, ``attn.wq`` ...
+``attn.bv``, ``attn.wo_<s>`` / ``attn.bo_<s>`` per updated stream,
+``ln_<s>`` per normed stream (updated ones first), ``ln_ffn_<s>`` per
+updated stream, then ``ffn``. ``complexity`` derives each block's
+parameters and MACs from the same route.
 """
 
 from __future__ import annotations
@@ -198,65 +208,35 @@ class Downsample:
         return TokenGrid.from_image(conv)
 
 
-class _SharedProjections:
-    """One q/k/v projection set per block, applied to both token streams."""
+@dataclass(frozen=True)
+class Route:
+    """Which stream each attention branch of a block kind updates and reads."""
 
-    def __init__(self, store: ParamStore, name: str, dim: int):
-        self.wq = store.weight(f"{name}.wq", (dim, dim))
-        self.bq = store.zeros(f"{name}.bq", (dim,))
-        self.wk = store.weight(f"{name}.wk", (dim, dim))
-        self.bk = store.zeros(f"{name}.bk", (dim,))
-        self.wv = store.weight(f"{name}.wv", (dim, dim))
-        self.bv = store.zeros(f"{name}.bv", (dim,))
+    branches: tuple[tuple[str, str], ...]  # (updated stream, key/value stream), img first
+    scaling: Scaling
+    cpe: bool  # residual positional encoding on the image grid before the norms
 
-    def mha_params(self, wo: Tensor, bo: Tensor) -> MhaParams:
-        return MhaParams(self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, wo, bo)
+    @property
+    def updated(self) -> tuple[str, ...]:
+        return tuple(s for s, _ in self.branches)
 
-
-class CABlock:
-    """Cross-attention block: updates meta tokens only.
-
-    meta' = meta + MHA(LN(meta) as Q, LN(image) as K/V), then the shared-FFN
-    residual on the meta stream. Image tokens are returned bit-identical.
-    """
-
-    kind = "ca"
-
-    def __init__(self, store: ParamStore, name: str, dim: int, head_dim: int, expansion: int):
-        self.cfg = AttentionConfig(dim, head_dim, Scaling.ENTROPY_INVARIANT)
-        self.proj = _SharedProjections(store, f"{name}.attn", dim)
-        self.wo_meta = store.weight(f"{name}.attn.wo_meta", (dim, dim))
-        self.bo_meta = store.zeros(f"{name}.attn.bo_meta", (dim,))
-        self.ln_meta = LayerNormParams(store, f"{name}.ln_meta", dim)
-        self.ln_img = LayerNormParams(store, f"{name}.ln_img", dim)
-        self.ln_ffn_meta = LayerNormParams(store, f"{name}.ln_ffn_meta", dim)
-        self.ffn = FeedForward(store, f"{name}.ffn", dim, expansion)
-
-    def __call__(self, grid: TokenGrid, meta: Tensor):
-        if grid.dim != meta.shape[-1]:
-            raise ConfigError(
-                f"stream widths disagree: image {grid.dim}, meta {meta.shape[-1]}"
-            )
-        mq = self.ln_meta(meta)
-        xkv = self.ln_img(grid.tokens)
-        params = self.proj.mha_params(self.wo_meta, self.bo_meta)
-        meta = T.add(meta, multi_head_attention(mq, xkv, xkv, self.cfg, params))
-        meta = T.add(meta, self.ffn(self.ln_ffn_meta(meta)))
-        return grid, meta
+    @property
+    def normed(self) -> tuple[str, ...]:
+        """Streams normed before attention: the updated ones, then read-only sources."""
+        return tuple(dict.fromkeys(self.updated + tuple(src for _, src in self.branches)))
 
 
-class DCABlock:
-    """Dual cross-attention block.
+ROUTES = {
+    "ca": Route((("meta", "img"),), Scaling.ENTROPY_INVARIANT, cpe=False),
+    "dca": Route((("img", "meta"), ("meta", "img")), Scaling.ENTROPY_INVARIANT, cpe=True),
+    "sa": Route((("img", "img"), ("meta", "meta")), Scaling.STANDARD, cpe=True),
+}
 
-    CPE first on the image grid, then both streams are normed once and two
-    cross-attentions run as parallel branches over those same values:
-    image tokens query meta keys/values while meta tokens query image
-    keys/values. A sequential variant lets the meta branch read the already
-    updated image tokens instead. Both streams end with the shared-FFN
-    residual.
-    """
 
-    kind = "dca"
+class _TwoStreamBlock:
+    """Pre-norm two-stream block that runs the route of its ``kind``."""
+
+    kind: str
 
     def __init__(
         self,
@@ -269,55 +249,87 @@ class DCABlock:
         use_cpe: bool = True,
         cpe_kernel: int = 3,
     ):
-        self.cfg = AttentionConfig(dim, head_dim, Scaling.ENTROPY_INVARIANT)
+        route = self.route = ROUTES[self.kind]
         self.sequential = sequential
-        self.use_cpe = use_cpe
-        self.cpe = Cpe(store, f"{name}.cpe", dim, cpe_kernel) if use_cpe else None
-        self.proj = _SharedProjections(store, f"{name}.attn", dim)
-        self.wo_img = store.weight(f"{name}.attn.wo_img", (dim, dim))
-        self.bo_img = store.zeros(f"{name}.attn.bo_img", (dim,))
-        self.wo_meta = store.weight(f"{name}.attn.wo_meta", (dim, dim))
-        self.bo_meta = store.zeros(f"{name}.attn.bo_meta", (dim,))
-        self.ln_img = LayerNormParams(store, f"{name}.ln_img", dim)
-        self.ln_meta = LayerNormParams(store, f"{name}.ln_meta", dim)
-        self.ln_ffn_img = LayerNormParams(store, f"{name}.ln_ffn_img", dim)
-        self.ln_ffn_meta = LayerNormParams(store, f"{name}.ln_ffn_meta", dim)
+        self.cfg = AttentionConfig(dim, head_dim, route.scaling)
+        self.cpe = Cpe(store, f"{name}.cpe", dim, cpe_kernel) if route.cpe and use_cpe else None
+        qkv = []
+        for p in "qkv":
+            qkv += [store.weight(f"{name}.attn.w{p}", (dim, dim)),
+                    store.zeros(f"{name}.attn.b{p}", (dim,))]
+        self.mha = {
+            s: MhaParams(*qkv, store.weight(f"{name}.attn.wo_{s}", (dim, dim)),
+                         store.zeros(f"{name}.attn.bo_{s}", (dim,)))
+            for s in route.updated
+        }
+        self.norm = {s: LayerNormParams(store, f"{name}.ln_{s}", dim) for s in route.normed}
+        self.ffn_norm = {s: LayerNormParams(store, f"{name}.ln_ffn_{s}", dim) for s in route.updated}
         self.ffn = FeedForward(store, f"{name}.ffn", dim, expansion)
-        self.retained: dict | None = None
 
-    def __call__(self, grid: TokenGrid, meta: Tensor, retain_attention: bool = False):
+    def _run(self, grid: TokenGrid, meta: Tensor, return_attention: bool = False):
+        """(grid, meta) out, plus {updated stream: head-averaged attention} if asked.
+
+        A stream the route does not update is returned as given: a block
+        that leaves the image alone returns the ``grid`` object it got.
+        """
         if grid.dim != meta.shape[-1]:
             raise ConfigError(
                 f"stream widths disagree: image {grid.dim}, meta {meta.shape[-1]}"
             )
-        if self.use_cpe:
+        if self.cpe is not None:
             grid = self.cpe(grid)
-        x = grid.tokens
-        xn = self.ln_img(x)
-        mn = self.ln_meta(meta)
-        img_params = self.proj.mha_params(self.wo_img, self.bo_img)
-        meta_params = self.proj.mha_params(self.wo_meta, self.bo_meta)
-        self.retained = {} if retain_attention else None
-
-        x2 = T.add(x, multi_head_attention(xn, mn, mn, self.cfg, img_params))
-        if self.sequential:
-            x2n = self.ln_img(x2)
-            m2 = T.add(
-                meta,
-                multi_head_attention(mn, x2n, x2n, self.cfg, meta_params, self.retained),
+        streams = {"img": grid.tokens, "meta": meta}
+        normed = {s: self.norm[s](streams[s]) for s in self.route.normed}
+        attended, attn = {}, {}
+        for s, src in self.route.branches:
+            if self.sequential and src in attended:
+                kv = self.norm[src](attended[src])  # read the already updated stream
+            else:
+                kv = normed[src]
+            out = multi_head_attention(
+                normed[s], kv, kv, self.cfg, self.mha[s], return_attn=return_attention
             )
-        else:
-            m2 = T.add(
-                meta,
-                multi_head_attention(mn, xn, xn, self.cfg, meta_params, self.retained),
-            )
-        x3 = T.add(x2, self.ffn(self.ln_ffn_img(x2)))
-        m3 = T.add(m2, self.ffn(self.ln_ffn_meta(m2)))
-        return TokenGrid(x3, grid.height, grid.width), m3
+            if return_attention:
+                out, attn[s] = out
+            attended[s] = T.add(streams[s], out)
+        for s, x in attended.items():
+            streams[s] = T.add(x, self.ffn(self.ffn_norm[s](x)))
+        if "img" in attended:
+            grid = TokenGrid(streams["img"], grid.height, grid.width)
+        if return_attention:
+            return grid, streams["meta"], attn
+        return grid, streams["meta"]
 
 
-class SABlock:
-    """Standard attention block: each stream runs self-attention alone."""
+# Each kind binds __call__ in its own class dict, so wrapping one kind's
+# calls (for timing, say) leaves the other kinds alone.
+
+
+class CABlock(_TwoStreamBlock):
+    """Cross-attention block: meta <- image; the image grid passes through."""
+
+    kind = "ca"
+
+    def __init__(self, store: ParamStore, name: str, dim: int, head_dim: int, expansion: int):
+        super().__init__(store, name, dim, head_dim, expansion)
+
+    __call__ = _TwoStreamBlock._run
+
+
+class DCABlock(_TwoStreamBlock):
+    """Dual cross-attention block: image <- meta and meta <- image after CPE.
+
+    Both branches read the same post-CPE, post-norm values unless
+    ``sequential`` is set, in which case the meta branch reads the
+    re-normed, already updated image tokens.
+    """
+
+    kind = "dca"
+    __call__ = _TwoStreamBlock._run
+
+
+class SABlock(_TwoStreamBlock):
+    """Standard attention block: each stream attends to itself after CPE."""
 
     kind = "sa"
 
@@ -331,36 +343,8 @@ class SABlock:
         use_cpe: bool = True,
         cpe_kernel: int = 3,
     ):
-        self.cfg = AttentionConfig(dim, head_dim, Scaling.STANDARD)
-        self.use_cpe = use_cpe
-        self.cpe = Cpe(store, f"{name}.cpe", dim, cpe_kernel) if use_cpe else None
-        self.proj = _SharedProjections(store, f"{name}.attn", dim)
-        self.wo_img = store.weight(f"{name}.attn.wo_img", (dim, dim))
-        self.bo_img = store.zeros(f"{name}.attn.bo_img", (dim,))
-        self.wo_meta = store.weight(f"{name}.attn.wo_meta", (dim, dim))
-        self.bo_meta = store.zeros(f"{name}.attn.bo_meta", (dim,))
-        self.ln_img = LayerNormParams(store, f"{name}.ln_img", dim)
-        self.ln_meta = LayerNormParams(store, f"{name}.ln_meta", dim)
-        self.ln_ffn_img = LayerNormParams(store, f"{name}.ln_ffn_img", dim)
-        self.ln_ffn_meta = LayerNormParams(store, f"{name}.ln_ffn_meta", dim)
-        self.ffn = FeedForward(store, f"{name}.ffn", dim, expansion)
+        super().__init__(
+            store, name, dim, head_dim, expansion, use_cpe=use_cpe, cpe_kernel=cpe_kernel
+        )
 
-    def __call__(self, grid: TokenGrid, meta: Tensor):
-        if grid.dim != meta.shape[-1]:
-            raise ConfigError(
-                f"stream widths disagree: image {grid.dim}, meta {meta.shape[-1]}"
-            )
-        if self.use_cpe:
-            grid = self.cpe(grid)
-        x = grid.tokens
-        img_params = self.proj.mha_params(self.wo_img, self.bo_img)
-        meta_params = self.proj.mha_params(self.wo_meta, self.bo_meta)
-
-        xn = self.ln_img(x)
-        x2 = T.add(x, multi_head_attention(xn, xn, xn, self.cfg, img_params))
-        mn = self.ln_meta(meta)
-        m2 = T.add(meta, multi_head_attention(mn, mn, mn, self.cfg, meta_params))
-
-        x3 = T.add(x2, self.ffn(self.ln_ffn_img(x2)))
-        m3 = T.add(m2, self.ffn(self.ln_ffn_meta(m2)))
-        return TokenGrid(x3, grid.height, grid.width), m3
+    __call__ = _TwoStreamBlock._run

@@ -3,8 +3,8 @@
 Subcommands: analyze, bench, gradcheck, train, infer, attmap. Every value
 can come from a flat key=value config file (``--config``), with command
 line flags taking precedence. Unknown config keys are rejected. Exit code
-0 on success, 1 on usage errors, 2 on data or format errors. Each command
-prints the seed it ran under.
+0 on success, 1 on usage or config errors, 2 on any other ``MetavitError``
+or an OS error. Each command prints the seed it ran under.
 """
 
 from __future__ import annotations
@@ -20,15 +20,7 @@ from . import bench as bench_mod
 from . import checkpoint as ckpt
 from . import complexity, fileio, gradcheck, trainer
 from . import tensor as T
-from .errors import (
-    ConfigError,
-    ContractError,
-    DimensionError,
-    FormatError,
-    InputError,
-    TrainingDiverged,
-    UsageError,
-)
+from .errors import ConfigError, InputError, MetavitError, UsageError
 from .model import Model, VariantSpec, export_attention_maps, variant, variant_names
 from .tensor import Tensor
 
@@ -328,11 +320,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, InputError, ContractError, DimensionError,
-            TrainingDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MetavitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

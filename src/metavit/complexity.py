@@ -25,8 +25,10 @@ Three quantities are reported per layer and never mixed:
     counted at their true cost per branch, reported separately so nothing
     is silently dropped or doubled.
 
-``count_model`` walks the exact stage layout used by ``build_variant``,
-so its parameter totals equal the built model's parameter count exactly.
+``count_model`` walks the stage layout of ``model.group_layout`` and
+reads each block's parameters, ``macs`` and ``attn_macs`` off the route
+in ``blocks.ROUTES`` that the built block runs, so its totals equal the
+built model's parameter count and an instrumented forward exactly.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ import io
 import json
 from dataclasses import dataclass, field
 
+from .blocks import ROUTES, Route
 from .errors import ConfigError, UsageError
-from .model import VariantSpec
+from .model import VariantSpec, group_layout
 
 CONVENTION_NOTE = (
     "macs = conv + linear module MACs only (projections, FFN, stems, CPE, "
@@ -45,7 +48,17 @@ CONVENTION_NOTE = (
     "as attn_macs; normalizations and activations are not counted"
 )
 
-_KINDS = ("dca", "sa", "ca")
+# the published block formulas, evaluated verbatim; ``dual`` is the factor
+# of the dual attention term (2, or 4 under strict_dual)
+_FORMULAS = {
+    "dca": lambda n, m, d, e, dual: (2 * e + 4) * (n + m) * d * d + dual * n * m * d,
+    "sa": lambda n, m, d, e, dual: (2 * e + 4) * n * d * d + 2 * n * n * d,
+    # cross-attention row, derived from the same accounting pattern
+    "ca": lambda n, m, d, e, dual: (
+        2 * m * d * d + 2 * n * d * d + 2 * n * m * d + 2 * e * (n + m) * d * d
+    ),
+}
+_KINDS = tuple(_FORMULAS)
 
 
 def count_block(kind: str, n: int, m: int, d: int, e: int, strict_dual: bool = False) -> int:
@@ -54,13 +67,7 @@ def count_block(kind: str, n: int, m: int, d: int, e: int, strict_dual: bool = F
         raise ConfigError(f"unknown block kind {kind!r}; expected one of {_KINDS}")
     if n < 0 or m < 0 or d <= 0 or e <= 0:
         raise ConfigError(f"bad block size n={n} m={m} d={d} e={e}")
-    if kind == "dca":
-        attn = 4 * n * m * d if strict_dual else 2 * n * m * d
-        return (2 * e + 4) * (n + m) * d * d + attn
-    if kind == "sa":
-        return (2 * e + 4) * n * d * d + 2 * n * n * d
-    # cross-attention row, derived from the same accounting pattern
-    return 2 * m * d * d + 2 * n * d * d + 2 * n * m * d + 2 * e * (n + m) * d * d
+    return _FORMULAS[kind](n, m, d, e, 4 if strict_dual else 2)
 
 
 @dataclass
@@ -107,33 +114,22 @@ def _ffn_params(d: int, e: int) -> int:
     return d * hidden + hidden + hidden * d + d
 
 
-def _block_params(kind: str, d: int, e: int, cpe_kernel: int) -> int:
-    shared_qkv = 3 * (d * d + d)
-    wo = d * d + d
-    ln = 2 * d
-    if kind == "ca":
-        return shared_qkv + wo + 3 * ln + _ffn_params(d, e)
-    cpe = d * cpe_kernel * cpe_kernel + d
-    return cpe + shared_qkv + 2 * wo + 4 * ln + _ffn_params(d, e)
-
-
-def _block_macs(kind: str, n: int, m: int, d: int, e: int, cpe_kernel: int) -> int:
-    if kind == "ca":
-        proj = 2 * m * d * d + 2 * n * d * d
-        ffn = 2 * e * m * d * d  # image stream passes through untouched
-        return proj + ffn
-    cpe = cpe_kernel * cpe_kernel * d * n
-    proj = 4 * (n + m) * d * d
-    ffn = 2 * e * (n + m) * d * d
-    return cpe + proj + ffn
-
-
-def _block_attn_macs(kind: str, n: int, m: int, d: int) -> int:
-    if kind == "ca":
-        return 2 * n * m * d
-    if kind == "dca":
-        return 4 * n * m * d
-    return 2 * n * n * d + 2 * m * m * d
+def block_cost(route: Route, n: int, m: int, d: int, e: int, cpe_kernel: int):
+    """(params, macs, attn_macs) of one block running ``route`` over n image and m meta tokens."""
+    tokens = {"img": n, "meta": m}
+    linear = d * d + d
+    params = 3 * linear + 2 * d * len(route.normed) + _ffn_params(d, e)
+    macs = 0
+    attn_macs = 0
+    if route.cpe:
+        params += d * cpe_kernel * cpe_kernel + d
+        macs += cpe_kernel * cpe_kernel * d * n
+    for s, src in route.branches:
+        params += linear + 2 * d  # output projection, FFN norm
+        macs += 2 * (tokens[s] + tokens[src]) * d * d  # q, out on s; k, v on src
+        macs += 2 * e * tokens[s] * d * d  # shared FFN on the updated stream
+        attn_macs += 2 * tokens[s] * tokens[src] * d
+    return params, macs, attn_macs
 
 
 def count_model(
@@ -147,7 +143,7 @@ def count_model(
     if h % 32 or w % 32 or h < 64 or w < 64:
         raise ConfigError(f"input extents must be multiples of 32 and >= 64, got {h}x{w}")
 
-    d1, d2, d3, d4 = spec.dims
+    d1, d4 = spec.dims[0], spec.dims[-1]
     m = spec.meta_len
     e = spec.expansion
     k = spec.cpe_kernel
@@ -174,39 +170,27 @@ def count_model(
             )
         )
 
-    group_kind = ["ca", "dca", "dca", "sa", "sa"]
-    group_dim = [d1, d1, d2, d3, d4]
-    group_n = [
-        (h // 4) * (w // 4),
-        (h // 4) * (w // 4),
-        (h // 8) * (w // 8),
-        (h // 16) * (w // 16),
-        (h // 32) * (w // 32),
-    ]
-    counts = list(spec.blocks)
-    if not spec.use_ca_stage:
-        counts[0] = 0
+    def grid(stride: int) -> int:
+        return (h // stride) * (w // stride)
 
-    for gi in range(5):
-        kind = group_kind[gi]
-        d = group_dim[gi]
-        n = group_n[gi]
-        for bi in range(counts[gi]):
+    layout = group_layout(spec)
+    for gi, g in enumerate(layout):
+        n = grid(g.stride)
+        for bi in range(g.count):
+            params, macs, attn_macs = block_cost(ROUTES[g.kind], n, m, g.dim, e, k)
             report.entries.append(
                 ComplexityEntry(
-                    f"s{gi}.b{bi}", kind, n, m, d, e,
-                    count_block(kind, n, m, d, e, strict_dual=strict_dual),
-                    _block_attn_macs(kind, n, m, d),
-                    _block_macs(kind, n, m, d, e, k),
-                    _block_params(kind, d, e, k),
+                    f"s{gi}.b{bi}", g.kind, n, m, g.dim, e,
+                    count_block(g.kind, n, m, g.dim, e, strict_dual=strict_dual),
+                    attn_macs, macs, params,
                 )
             )
-        if gi in (1, 2, 3):
-            din, dout = group_dim[gi], group_dim[gi + 1]
-            n_out = group_n[gi + 1]
+        if g.ends_stage and gi + 1 < len(layout):
+            din, dout = g.dim, layout[gi + 1].dim
+            n_out = grid(layout[gi + 1].stride)
             report.entries.append(
                 ComplexityEntry(
-                    f"ds{gi}", "downsample", n_out, m, dout, e, 0, 0,
+                    f"ds{g.stage + 1}", "downsample", n_out, m, dout, e, 0, 0,
                     9 * din * dout * n_out + m * din * dout,
                     9 * din * dout + dout + din * dout + dout,
                 )
@@ -217,7 +201,7 @@ def count_model(
         head_params += 2 * d4
     report.entries.append(
         ComplexityEntry(
-            "head", "head", group_n[4], m, d4, e, 0, 0,
+            "head", "head", grid(layout[-1].stride), m, d4, e, 0, 0,
             d4 * spec.num_classes, head_params,
         )
     )

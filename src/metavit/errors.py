@@ -23,7 +23,11 @@ class InputError(MetavitError, ValueError):
 
 
 class ContractError(MetavitError, RuntimeError):
-    """An API contract was violated (non-scalar loss, missing retention, ...)."""
+    """An API contract was violated.
+
+    For example a non-scalar loss, a second backward from one loss, or
+    attention maps asked of a model with no stride-8 dual block.
+    """
 
 
 class FormatError(MetavitError, ValueError):

@@ -50,6 +50,8 @@ def _read_pnm_header(data: bytes, magic: bytes, path: str):
             fields.append(int(data[start:pos]))
         except ValueError:
             raise FormatError(f"{path}: bad header token {data[start:pos]!r}", offset=start)
+        if len(fields) < 3 and fields[-1] < 1:  # width or height
+            raise FormatError(f"{path}: image extent {fields[-1]} is not positive", offset=start)
     return fields, pos + 1  # single whitespace byte separates header and raster
 
 

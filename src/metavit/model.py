@@ -6,7 +6,8 @@ both run on the stride-4 grid at width D1; S2 (dual cross-attention) runs
 at stride 8 / D2 after a downsample; S3 and S4 (standard attention) run at
 stride 16 / D3 and stride 32 / D4. Meta tokens keep their count at every
 stage and track the image width through a linear projection inside each
-downsample transition.
+downsample transition. ``GROUPS`` is the one table of this layout; the
+model and ``complexity.count_model`` both read it through ``group_layout``.
 
 Classification pools the image and meta streams separately (each behind
 its own final norm), adds the pooled vectors, and applies one linear head.
@@ -16,6 +17,7 @@ Dense-prediction consumers take the four image-token grids instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +97,48 @@ def variant(name: str, **overrides) -> VariantSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
+# Block groups s0..s4 as (kind, stage). Stage k runs at width dims[k] on
+# the stride 4 * 2**k grid; a downsample follows each stage but the last.
+GROUPS = (("ca", 0), ("dca", 0), ("dca", 1), ("sa", 2), ("sa", 3))
+
+
+class Group(NamedTuple):
+    kind: str
+    count: int
+    stage: int
+    dim: int
+    stride: int
+    ends_stage: bool  # its output grid is a feature map, downsampled unless last
+
+
+def group_layout(spec: VariantSpec) -> list[Group]:
+    """Groups s0..s4 as built from ``spec``; s0 is empty without the CA stage."""
+    counts = list(spec.blocks)
+    if not spec.use_ca_stage:
+        counts[0] = 0
+    return [
+        Group(kind, count, stage, spec.dims[stage], 4 * 2**stage,
+              gi + 1 == len(GROUPS) or GROUPS[gi + 1][1] != stage)
+        for gi, ((kind, stage), count) in enumerate(zip(GROUPS, counts))
+    ]
+
+
+def _make_block(kind: str, store: ParamStore, name: str, dim: int, spec: VariantSpec):
+    if kind == "ca":
+        return CABlock(store, name, dim, spec.head_dim, spec.expansion)
+    if kind == "dca":
+        return DCABlock(store, name, dim, spec.head_dim, spec.expansion,
+                        sequential=spec.dca_sequential, cpe_kernel=spec.cpe_kernel)
+    return SABlock(store, name, dim, spec.head_dim, spec.expansion,
+                   cpe_kernel=spec.cpe_kernel)
+
+
 class Model:
-    """A built network: parameter store plus the stage pipeline."""
+    """A built network: parameter store plus the stage pipeline.
+
+    A model holds no per-call state, so one instance can serve forwards
+    from several threads at once.
+    """
 
     def __init__(self, spec: VariantSpec, seed: int, dtype=np.float32):
         self.spec = spec
@@ -112,40 +154,10 @@ class Model:
             MetaStem(store, "meta_stem", spec.meta_dim0, d1) if spec.use_meta_stem else None
         )
 
-        def make_group(idx: int, count: int, dim: int, kind: str) -> list:
-            group = []
-            for i in range(count):
-                name = f"s{idx}.b{i}"
-                if kind == "ca":
-                    group.append(CABlock(store, name, dim, spec.head_dim, spec.expansion))
-                elif kind == "dca":
-                    group.append(
-                        DCABlock(
-                            store,
-                            name,
-                            dim,
-                            spec.head_dim,
-                            spec.expansion,
-                            sequential=spec.dca_sequential,
-                            cpe_kernel=spec.cpe_kernel,
-                        )
-                    )
-                else:
-                    group.append(
-                        SABlock(
-                            store, name, dim, spec.head_dim, spec.expansion,
-                            cpe_kernel=spec.cpe_kernel,
-                        )
-                    )
-            return group
-
-        s0 = spec.blocks[0] if spec.use_ca_stage else 0
+        self.layout = group_layout(spec)
         self.groups = [
-            make_group(0, s0, d1, "ca"),
-            make_group(1, spec.blocks[1], d1, "dca"),
-            make_group(2, spec.blocks[2], d2, "dca"),
-            make_group(3, spec.blocks[3], d3, "sa"),
-            make_group(4, spec.blocks[4], d4, "sa"),
+            [_make_block(g.kind, store, f"s{gi}.b{bi}", g.dim, spec) for bi in range(g.count)]
+            for gi, g in enumerate(self.layout)
         ]
         self.downsamples = [
             Downsample(store, "ds1", d1, d2),
@@ -164,8 +176,6 @@ class Model:
         )
         self.head_w = store.weight("head.fc.w", (d4, spec.num_classes))
         self.head_b = store.zeros("head.fc.b", (spec.num_classes,))
-        self._retained_maps: np.ndarray | None = None
-        self._retained_extent: tuple[int, int] | None = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -199,8 +209,16 @@ class Model:
             img = Tensor(img.data.astype(self.dtype))
         return img
 
-    def _forward(self, img: Tensor, retain_attention: bool = False):
+    def _forward(self, img: Tensor, return_attention: bool = False):
         img = self._check_input(img)
+        mapped = None  # the block whose meta-branch attention is returned
+        if return_attention:
+            if not self.groups[2]:
+                raise ContractError(
+                    "attention maps requested but the model has no dual "
+                    "cross-attention block in the stride-8 group"
+                )
+            mapped = self.groups[2][-1]
         batched = img.ndim == 4
         grid = self.stem(img)
 
@@ -210,63 +228,42 @@ class Model:
         if self.meta_stem is not None:
             meta = self.meta_stem(meta)
 
-        self._retained_maps = None
-        self._retained_extent = None
         features: list[TokenGrid] = []
-        for gi, group in enumerate(self.groups):
-            last_dca = gi == 2 and retain_attention
-            for bi, blk in enumerate(group):
-                if isinstance(blk, DCABlock):
-                    retain = last_dca and bi == len(group) - 1
-                    grid, meta = blk(grid, meta, retain_attention=retain)
-                    if retain:
-                        self._retained_maps = blk.retained.get("attn")
-                        self._retained_extent = (grid.height, grid.width)
+        maps = None
+        for g, group in zip(self.layout, self.groups):
+            for blk in group:
+                if blk is mapped:
+                    grid, meta, attn = blk(grid, meta, return_attention=True)
+                    weights = attn["meta"] / attn["meta"].sum(axis=-1, keepdims=True)
+                    maps = weights.reshape(weights.shape[:-1] + (grid.height, grid.width))
                 else:
                     grid, meta = blk(grid, meta)
-            if gi >= 1:
+            if g.ends_stage:
                 features.append(grid)
-                if gi < 4:
-                    grid = self.downsamples[gi - 1](grid)
-                    w, b = self.meta_projs[gi - 1]
+                if g.stage < len(self.downsamples):
+                    grid = self.downsamples[g.stage](grid)
+                    w, b = self.meta_projs[g.stage]
                     meta = T.linear(meta, w, b)
-        if retain_attention and self._retained_maps is None:
-            raise ContractError(
-                "attention retention requested but the model has no dual "
-                "cross-attention block in the stride-8 group"
-            )
-        return features, grid, meta
+        return features, grid, meta, maps
 
     def forward_features(self, img: Tensor) -> list[TokenGrid]:
         """The stride-4/8/16/32 image-token grids (meta tokens excluded)."""
-        features, _, _ = self._forward(img)
-        return features
+        return self._forward(img)[0]
 
-    def forward_classify(self, img: Tensor, retain_attention: bool = False) -> Tensor:
-        features, grid, meta = self._forward(img, retain_attention=retain_attention)
+    def forward_classify(self, img: Tensor, return_attention: bool = False):
+        """Logits, or (logits, maps) when ``return_attention`` is set.
+
+        ``maps`` is the meta tokens' attention over the stride-8 grid in the
+        last stride-8 dual cross-attention block, averaged over heads: shape
+        (M, H/8, W/8), or (B, M, H/8, W/8) for a batch, each map summing to
+        one. Raises ContractError if the model has no such block.
+        """
+        _, grid, meta, maps = self._forward(img, return_attention)
         pooled = T.global_avg_pool(self.head_ln_img(grid.tokens))
         if self.spec.use_meta_pooling:
             pooled = T.add(pooled, T.global_avg_pool(self.head_ln_meta(meta)))
-        return T.linear(pooled, self.head_w, self.head_b)
-
-    # -- attention maps ---------------------------------------------------
-
-    def attention_maps(self) -> np.ndarray:
-        """Per-meta-token attention over the stride-8 grid from the last forward.
-
-        Shape (M, H/8, W/8); every map sums to one. Requires the previous
-        forward pass to have run with attention retention enabled.
-        """
-        if self._retained_maps is None:
-            raise ContractError(
-                "no retained attention; run forward_classify(img, retain_attention=True)"
-            )
-        attn = self._retained_maps
-        if attn.ndim == 3:  # batched forward: first image
-            attn = attn[0]
-        h, w = self._retained_extent
-        attn = attn / attn.sum(axis=-1, keepdims=True)
-        return attn.reshape(self.spec.meta_len, h, w)
+        logits = T.linear(pooled, self.head_w, self.head_b)
+        return (logits, maps) if return_attention else logits
 
 
 def build_variant(spec: VariantSpec | str, seed: int, dtype=np.float32) -> Model:
@@ -277,9 +274,8 @@ def build_variant(spec: VariantSpec | str, seed: int, dtype=np.float32) -> Model
 
 
 def export_attention_maps(model: Model, img: Tensor) -> np.ndarray:
-    """Run a retained forward pass on one image and return its (M, h, w) maps."""
+    """The (M, h, w) attention maps of one image over the stride-8 grid."""
     if img.ndim != 3:
         raise InputError(f"attention export takes a single (3,H,W) image, got {img.shape}")
     with T.no_grad():
-        model.forward_classify(img, retain_attention=True)
-    return model.attention_maps()
+        return model.forward_classify(img, return_attention=True)[1]

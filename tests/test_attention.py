@@ -179,14 +179,21 @@ class TestMultiHeadAttention:
                 Tensor(np.zeros((3, 8))), cfg, params,
             )
 
-    def test_retained_attention_is_head_averaged(self, rng):
+    def test_returned_attention_is_head_averaged(self, rng):
         dim = 8
         cfg = AttentionConfig(dim, 4)
         params = _random_params(rng, dim)
         q = Tensor(rng.standard_normal((5, dim)).astype(np.float32))
         k = Tensor(rng.standard_normal((3, dim)).astype(np.float32))
-        retained = {}
-        multi_head_attention(q, k, k, cfg, params, retained=retained)
-        attn = retained["attn"]
+        out, attn = multi_head_attention(q, k, k, cfg, params, return_attn=True)
+        assert isinstance(attn, np.ndarray)
         assert attn.shape == (5, 3)
         assert_allclose(attn.sum(axis=-1), np.ones(5), atol=1e-5)
+        qp = (q.data @ params.wq.data + params.bq.data).reshape(5, 2, 4)
+        kp = (k.data @ params.wk.data + params.bk.data).reshape(3, 2, 4)
+        logits = np.einsum("nhc,mhc->hnm", qp, kp) / math.sqrt(4)
+        heads = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        heads /= heads.sum(axis=-1, keepdims=True)
+        assert_allclose(attn, heads.mean(axis=0), atol=1e-6)
+        plain = multi_head_attention(q, k, k, cfg, params)
+        assert np.array_equal(out.data, plain.data)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from metavit import fileio
+from metavit import cli, fileio
 from metavit.checkpoint import save_checkpoint
 from metavit.cli import load_config, main
-from metavit.errors import UsageError
+from metavit.errors import FormatError, MetavitError, UsageError
 from metavit.model import build_variant, variant
 
 
@@ -87,6 +87,17 @@ class TestExitCodes:
         assert code == 2
         assert "NaN or infinite" in capsys.readouterr().err
         assert not (tmp_path / "maps").exists()
+
+    def test_any_package_error_is_data_error(self, monkeypatch, capsys):
+        class UnlistedError(MetavitError):
+            pass
+
+        def fail(settings):
+            raise UnlistedError("unlisted failure")
+
+        monkeypatch.setitem(cli._COMMANDS, "analyze", fail)
+        assert main(["analyze"]) == 2
+        assert "unlisted failure" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -194,6 +205,22 @@ class TestRasterRoundTrips:
         assert img.shape == (3, 2, 2)
         assert img.max() == pytest.approx(1.0)
         assert img.min() == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("extents", [b"0 0", b"0 2", b"2 0"])
+    def test_ppm_zero_extent_rejected(self, tmp_path, extents):
+        ppm = tmp_path / "empty.ppm"
+        ppm.write_bytes(b"P6\n" + extents + b"\n255\n" + bytes(12))
+        with pytest.raises(FormatError) as info:
+            fileio.read_ppm(str(ppm))
+        assert info.value.offset == (3 if extents.startswith(b"0") else 5)
+
+    @pytest.mark.parametrize("extents", [b"0 0", b"0 2", b"2 0"])
+    def test_pgm_zero_extent_rejected(self, tmp_path, extents):
+        pgm = tmp_path / "empty.pgm"
+        pgm.write_bytes(b"P5\n" + extents + b"\n65535\n" + bytes(8))
+        with pytest.raises(FormatError) as info:
+            fileio.read_pgm16(str(pgm))
+        assert info.value.offset == (3 if extents.startswith(b"0") else 5)
 
     def test_pgm16_round_trip_monotone(self, tmp_path, rng):
         values = rng.random((4, 5)).astype(np.float32)

@@ -8,7 +8,13 @@ import pytest
 
 from metavit import tensor as T
 from metavit.blocks import CABlock, DCABlock, ParamStore, SABlock, TokenGrid
-from metavit.complexity import ComplexityReport, count_block, count_model, emit_report
+from metavit.complexity import (
+    ComplexityReport,
+    block_cost,
+    count_block,
+    count_model,
+    emit_report,
+)
 from metavit.errors import ConfigError, UsageError
 from metavit.model import build_variant, variant
 from metavit.tensor import MacCounter, Tensor
@@ -113,15 +119,15 @@ class TestCountModel:
 class TestEmpiricalAgreement:
     """Instrumented kernels vs the analytic projection+attention+FFN terms."""
 
-    @pytest.mark.parametrize("kind", ["ca", "dca", "sa"])
+    @pytest.mark.parametrize("kind", ["ca", "dca", "dca-sequential", "sa"])
     def test_block_macs_match_instrumented_forward(self, kind, rng):
         n_side, m, d, e = 8, 4, 16, 4
         n = n_side * n_side
         store = ParamStore(0)
         if kind == "ca":
             block = CABlock(store, "b", d, 8, e)
-        elif kind == "dca":
-            block = DCABlock(store, "b", d, 8, e)
+        elif kind.startswith("dca"):
+            block = DCABlock(store, "b", d, 8, e, sequential=kind == "dca-sequential")
         else:
             block = SABlock(store, "b", d, 8, e)
         grid = TokenGrid(Tensor(rng.standard_normal((n, d)).astype(np.float32)), n_side, n_side)
@@ -129,10 +135,9 @@ class TestEmpiricalAgreement:
         with T.no_grad(), MacCounter() as meter:
             block(grid, meta)
 
-        from metavit.complexity import _block_attn_macs, _block_macs
-
-        analytic = _block_macs(kind, n, m, d, e, 3) + _block_attn_macs(kind, n, m, d)
-        assert abs(meter.total - analytic) / analytic < 0.05
+        params, macs, attn_macs = block_cost(block.route, n, m, d, e, 3)
+        assert meter.total == macs + attn_macs
+        assert params == store.total_size()
 
     def test_model_macs_match_instrumented_forward(self, rng):
         spec = variant("tiny-narrow", num_classes=3)

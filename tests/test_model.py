@@ -1,4 +1,6 @@
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -159,12 +161,67 @@ class TestAttentionMaps:
         ratio = maps.max() / maps.min()
         assert ratio < 1.5
 
-    def test_retention_contract(self, rng):
+    def test_return_attention_contract(self, rng):
         model = toy_model()
+        img = toy_image(rng)
         with T.no_grad():
-            model.forward_classify(toy_image(rng))  # no retention requested
-        with pytest.raises(ContractError):
-            model.attention_maps()
+            logits = model.forward_classify(img)
+            both = model.forward_classify(img, return_attention=True)
+        assert isinstance(logits, Tensor)
+        assert isinstance(both, tuple) and len(both) == 2
+        assert np.array_equal(both[0].data, logits.data)
+        assert both[1].shape == (16, 8, 8)
+        no_s2 = toy_model(blocks=(1, 1, 0, 2, 1))
+        with T.no_grad():
+            no_s2.forward_classify(img)  # fine without maps
+            with pytest.raises(ContractError):
+                no_s2.forward_classify(img, return_attention=True)
+
+    def test_batched_maps_match_single_images(self, rng):
+        model = toy_model()
+        batch = toy_image(rng, batch=2)
+        with T.no_grad():
+            _, maps = model.forward_classify(batch, return_attention=True)
+        assert maps.shape == (2, 16, 8, 8)
+        for i in range(2):
+            single = export_attention_maps(model, Tensor(batch.data[i]))
+            assert_allclose(maps[i], single, atol=1e-6)
+
+    def test_one_model_serves_concurrent_threads(self, rng):
+        model = toy_model()
+        images = [toy_image(rng), toy_image(rng)]
+
+        def run(img):
+            with T.no_grad():
+                logits, maps = model.forward_classify(img, return_attention=True)
+            return logits.data, maps
+
+        expected = [run(img) for img in images]
+        workers = 4  # two threads per image, all running at once
+        start = threading.Barrier(workers)
+        results = [[] for _ in range(workers)]
+
+        def worker(i):
+            start.wait(timeout=60)
+            for _ in range(3):
+                results[i].append(run(images[i % 2]))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, got in enumerate(results):
+            assert len(got) == 3
+            for logits, maps in got:
+                assert np.array_equal(logits, expected[i % 2][0])
+                assert np.array_equal(maps, expected[i % 2][1])
 
 
 class TestCheckpoint:
