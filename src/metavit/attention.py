@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -60,23 +60,18 @@ def entropy_scale(n_query: int, n_key: int, width: int) -> float:
 def scaled_dot_product_attention(
     q: Tensor, k: Tensor, v: Tensor, scale: float, return_attn: bool = False
 ):
-    """softmax(q k^T / scale) v over the last two axes.
+    """softmax(q k^T / scale) v over the last two axes, one ``tensor.attention`` node.
 
     Shapes: q (..., N1, C), k and v (..., N2, C). Returns the output, or
-    (output, attention) when ``return_attn`` is set.
+    (output, attention) when ``return_attn`` is set; the attention is a
+    constant tensor that no gradient flows through.
     """
     if scale <= 0:
         raise ConfigError(f"attention scale must be positive, got {scale}")
-    if q.shape[-1] != k.shape[-1]:
-        raise DimensionError(f"query width {q.shape} != key width {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise DimensionError(f"key count {k.shape} != value count {v.shape}")
-    logits = T.mul(T.matmul(q, T.swap_last_axes(k)), 1.0 / scale)
-    attn = T.softmax_rows(logits)
-    out = T.matmul(attn, v)
-    if return_attn:
-        return out, attn
-    return out
+    if not return_attn:
+        return T.attention(q, k, v, 1.0 / scale)
+    out, attn = T.attention(q, k, v, 1.0 / scale, return_attn=True)
+    return out, Tensor(attn)
 
 
 @dataclass
@@ -144,7 +139,10 @@ def multi_head_attention(
     else:
         scale = math.sqrt(cfg.head_dim)
 
-    out, attn = scaled_dot_product_attention(qp, kp, vp, scale, return_attn=True)
+    if return_attn:
+        out, attn = scaled_dot_product_attention(qp, kp, vp, scale, return_attn=True)
+    else:
+        out = scaled_dot_product_attention(qp, kp, vp, scale)
     out = T.linear(_merge_heads(out), params.wo, params.bo)
     if return_attn:
         return out, attn.data.mean(axis=-3)  # average over heads

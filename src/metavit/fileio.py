@@ -52,6 +52,8 @@ def _read_pnm_header(data: bytes, magic: bytes, path: str):
             raise FormatError(f"{path}: bad header token {data[start:pos]!r}", offset=start)
         if len(fields) < 3 and fields[-1] < 1:  # width or height
             raise FormatError(f"{path}: image extent {fields[-1]} is not positive", offset=start)
+        if len(fields) == 3 and not 0 < fields[-1] <= 65535:
+            raise FormatError(f"{path}: unsupported maxval {fields[-1]}", offset=start)
     return fields, pos + 1  # single whitespace byte separates header and raster
 
 
@@ -60,8 +62,6 @@ def read_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
     (width, height, maxval), offset = _read_pnm_header(data, b"P6", path)
-    if maxval <= 0 or maxval > 65535:
-        raise FormatError(f"{path}: unsupported maxval {maxval}", offset=offset)
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
     count = width * height * 3
     raster = data[offset : offset + count * dtype.itemsize]

@@ -166,6 +166,17 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
         return T.add(T.sum_all(h), _weighted_sum(T.matmul(h, wf), h))
 
     cases.append(CheckCase("fan-in", fd_check(fan_in, [xf, wf])))
+
+    # batch 2, 4 keys, 7 query rows: a 24-logit tile budget gives tiles of 3, 3 and 1 rows
+    qa, ka, va = leaf(2, 7, 3), leaf(2, 4, 3), leaf(2, 4, 5)
+    budget, T._TILE_ELEMENTS = T._TILE_ELEMENTS, 2 * 4 * 3
+    try:
+        cases.append(CheckCase(
+            "attention-tiled",
+            fd_check(lambda: _weighted_sum(T.attention(qa, ka, va, 0.6)), [qa, ka, va]),
+        ))
+    finally:
+        T._TILE_ELEMENTS = budget
     return cases
 
 

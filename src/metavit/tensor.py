@@ -157,9 +157,14 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _recording(parents) -> bool:
+    """Whether an op on ``parents`` records a graph node."""
+    return _grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents, vjp, op: str) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -333,12 +338,6 @@ def permute(a: Tensor, axes) -> Tensor:
     return _node(out, (a,), vjp, "permute")
 
 
-def swap_last_axes(a: Tensor) -> Tensor:
-    axes = list(range(a.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return permute(a, axes)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum(), dtype=a.dtype)
 
@@ -421,17 +420,94 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return y
 
 
+def _softmax_inplace(x: np.ndarray, scale: float = 1.0) -> None:
+    """Overwrite ``x`` with softmax(x * scale) over its last axis (scale > 0).
+
+    The row max is subtracted before scaling, which is the same shift since
+    scale is positive. The row sums are one GEMV against a ones vector, about
+    twice as fast as ``ndarray.sum`` over the last axis.
+    """
+    x -= x.max(axis=-1, keepdims=True)
+    x *= scale
+    np.exp(x, out=x)
+    x *= 1.0 / (x @ np.ones(x.shape[-1], dtype=x.dtype))[..., None]
+
+
+def _softmax_grad_inplace(p: np.ndarray, d: np.ndarray) -> None:
+    """Overwrite ``d``, the gradient at softmax output ``p``, with the gradient
+    at its input: p * (d - rowsum(d * p))."""
+    d -= np.einsum("...j,...j->...", d, p)[..., None]
+    d *= p
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, stabilized by max subtraction."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = x.data.copy()
+    _softmax_inplace(out)
 
     def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
+        d = g.copy()
+        _softmax_grad_inplace(out, d)
+        return (d,)
 
     return _node(out, (x,), vjp, "softmax_rows")
+
+
+# one attention tile holds about this many logits across all leading axes
+_TILE_ELEMENTS = 1 << 20
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, return_attn: bool = False):
+    """softmax(q k^T * scale) v over the last two axes, as one graph node.
+
+    Shapes: q (..., N1, C), k (..., N2, C), v (..., N2, Cv), with equal
+    leading axes. Query rows are processed in tiles, each taken across all
+    leading axes at once, and a tile's logits are normalized in place before
+    they meet v, so the only N1 x N2 array is the probability array, kept
+    when a gradient is needed or ``return_attn`` asks for it. Otherwise one
+    scratch tile of at most ``_TILE_ELEMENTS`` values (one query row, if a
+    row is larger) is reused across tiles. Returns the output, or (output,
+    probabilities as a plain (..., N1, N2) array) when ``return_attn`` is
+    set. Backward writes only fresh arrays, never the probabilities or the
+    incoming gradient.
+    """
+    if scale <= 0:
+        raise ConfigError(f"attention scale must be positive, got {scale}")
+    if q.shape[-1] != k.shape[-1]:
+        raise DimensionError(f"query width {q.shape} != key width {k.shape}")
+    if k.shape[-2] != v.shape[-2]:
+        raise DimensionError(f"key count {k.shape} != value count {v.shape}")
+    if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+        raise DimensionError(
+            f"attention leading axes disagree: {q.shape}, {k.shape}, {v.shape}"
+        )
+    scale = float(scale)  # a Python float keeps float32 arithmetic in float32
+    qd, kd, vd = q.data, k.data, v.data
+    lead, n1, n2 = qd.shape[:-2], qd.shape[-2], kd.shape[-2]
+    batch = math.prod(lead)
+    _count_macs(batch * n1 * n2 * (qd.shape[-1] + vd.shape[-1]))
+    rows = max(1, _TILE_ELEMENTS // (batch * n2))
+    kt = np.swapaxes(kd, -1, -2)
+    out = np.empty(lead + (n1, vd.shape[-1]), dtype=qd.dtype)
+    keep = return_attn or _recording((q, k, v))
+    probs = np.empty(lead + (n1, n2), dtype=qd.dtype) if keep else None
+    scratch = None if keep else np.empty(lead + (min(rows, n1), n2), dtype=qd.dtype)
+    for r0 in range(0, n1, rows):
+        r1 = min(r0 + rows, n1)
+        tile = probs[..., r0:r1, :] if keep else scratch[..., : r1 - r0, :]
+        np.matmul(qd[..., r0:r1, :], kt, out=tile)
+        _softmax_inplace(tile, scale)
+        np.matmul(tile, vd, out=out[..., r0:r1, :])
+
+    def vjp(g):
+        dv = np.swapaxes(probs, -1, -2) @ g
+        ds = g @ np.swapaxes(vd, -1, -2)
+        _softmax_grad_inplace(probs, ds)
+        ds *= scale
+        return ds @ kd, np.swapaxes(ds, -1, -2) @ qd, dv
+
+    node = _node(out, (q, k, v), vjp, "attention")
+    return (node, probs) if return_attn else node
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -13,8 +13,9 @@ from metavit.attention import (
     multi_head_attention,
     scaled_dot_product_attention,
 )
+from metavit import tensor as T
 from metavit.errors import ConfigError, DimensionError
-from metavit.tensor import Tensor
+from metavit.tensor import Graph, MacCounter, Tensor
 
 
 class TestEntropyScale:
@@ -113,6 +114,95 @@ class TestScaledDotProductAttention:
                 Tensor(q[perm]), Tensor(k), Tensor(v), 2.0
             ).data
             assert np.abs(base[perm] - permuted).max() < 1e-6
+
+
+def _per_head_oracle(q, k, v, scale):
+    """naive_attention over every leading (batch, head) index."""
+    lead = q.shape[:-2]
+    out = np.zeros(lead + (q.shape[-2], v.shape[-1]))
+    for idx in np.ndindex(*lead):
+        out[idx] = naive_attention(q[idx], k[idx], v[idx], scale)
+    return out
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """Shrink the tile budget so a few query rows span several tiles."""
+
+    def shrink(batch, n2, rows):
+        monkeypatch.setattr(T, "_TILE_ELEMENTS", batch * n2 * rows)
+
+    return shrink
+
+
+def _composed(q, k, v, scale):
+    """The op sequence ``tensor.attention`` fuses, as separate graph nodes."""
+    axes = list(range(k.ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    logits = T.mul(T.matmul(q, T.permute(k, axes)), scale)
+    return T.matmul(T.softmax_rows(logits), v)
+
+
+class TestFusedAttentionOp:
+    @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("n1,n2", [(7, 5), (1, 5), (7, 1), (9, 9)])
+    def test_matches_oracle_over_batch_and_heads(self, rng, small_tiles, dtype, atol, n1, n2):
+        q = rng.standard_normal((2, 3, n1, 4)).astype(dtype)
+        k = rng.standard_normal((2, 3, n2, 4)).astype(dtype)
+        v = rng.standard_normal((2, 3, n2, 6)).astype(dtype)
+        want = _per_head_oracle(q, k, v, 2.0)
+        small_tiles(6, n2, 2)  # 2 query rows per tile: N1 = 7 or 9 leaves a partial tile
+        out, probs = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5, return_attn=True)
+        assert out.dtype == dtype and probs.shape == (2, 3, n1, n2)
+        assert_allclose(out.data, want, atol=atol)
+        assert_allclose(probs.sum(axis=-1), np.ones((2, 3, n1)), atol=atol)
+        plain = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5)  # scratch tiles
+        assert_allclose(plain.data, out.data, rtol=1e-6, atol=atol)
+
+    def test_one_node_and_the_macs_of_two_products(self, rng):
+        q, k, v = (Tensor(rng.standard_normal((2, n, 4)), requires_grad=True) for n in (5, 3, 3))
+        with MacCounter() as meter:
+            out = T.attention(q, k, v, 0.5)
+        assert out.op == "attention" and out._parents == (q, k, v)
+        assert len(Graph.trace(out)) == 4
+        assert meter.total == 2 * 5 * 3 * (4 + 4)
+
+    def test_gradients_match_composed_ops(self, rng, small_tiles):
+        leaves = [rng.standard_normal((2, 2, n, 4)) for n in (7, 5, 5)]
+        weight = Tensor(rng.standard_normal((2, 2, 7, 4)))
+        grads = []
+        for fn in (_composed, T.attention):
+            if fn is T.attention:
+                small_tiles(4, 5, 3)
+            q, k, v = (Tensor(a, requires_grad=True) for a in leaves)
+            T.backward(T.sum_all(T.mul(fn(q, k, v, 0.7), weight)))
+            grads.append([t.grad for t in (q, k, v)])
+        for fused, composed in zip(*grads[::-1]):
+            assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
+
+    def test_incoming_gradient_is_not_written(self, rng, small_tiles):
+        # sum_all hands its read-only broadcast_to view straight to the op's VJP
+        q, k, v = (Tensor(rng.standard_normal((2, n, 4)), requires_grad=True) for n in (6, 4, 4))
+        small_tiles(2, 4, 2)
+        T.backward(T.sum_all(T.attention(q, k, v, 0.5)))
+        assert all(np.isfinite(t.grad).all() for t in (q, k, v))
+
+    def test_returned_maps_survive_backward(self, rng, small_tiles):
+        q, k, v = (Tensor(rng.standard_normal((3, n, 4)), requires_grad=True) for n in (5, 4, 4))
+        small_tiles(3, 4, 2)
+        out, probs = T.attention(q, k, v, 0.5, return_attn=True)
+        before = probs.copy()
+        T.backward(T.sum_all(T.mul(out, Tensor(rng.standard_normal(out.shape)))))
+        assert np.array_equal(probs, before)
+
+    def test_mismatched_shapes_and_scale_rejected(self):
+        z = lambda *shape: Tensor(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            T.attention(z(2, 3, 4), z(3, 3, 4), z(3, 3, 4), 1.0)
+        with pytest.raises(DimensionError):
+            T.attention(z(3, 4), z(3, 4), z(2, 4), 1.0)
+        with pytest.raises(ConfigError):
+            T.attention(z(3, 4), z(3, 4), z(3, 4), 0.0)
 
 
 def _identity_params(dim: int) -> MhaParams:

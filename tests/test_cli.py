@@ -222,6 +222,14 @@ class TestRasterRoundTrips:
             fileio.read_pgm16(str(pgm))
         assert info.value.offset == (3 if extents.startswith(b"0") else 5)
 
+    @pytest.mark.parametrize("maxval", [b"0", b"70000"])
+    def test_pgm_maxval_out_of_range_rejected(self, tmp_path, maxval):
+        pgm = tmp_path / "bad.pgm"
+        pgm.write_bytes(b"P5\n1 1\n" + maxval + b"\n" + bytes(2))
+        with pytest.raises(FormatError) as info:
+            fileio.read_pgm16(str(pgm))
+        assert info.value.offset == 7
+
     def test_pgm16_round_trip_monotone(self, tmp_path, rng):
         values = rng.random((4, 5)).astype(np.float32)
         path = tmp_path / "m.pgm"
