@@ -14,7 +14,6 @@ from .attention import (
     Scaling,
     entropy_scale,
     multi_head_attention,
-    scaled_dot_product_attention,
 )
 from .bench import BenchResult, bench_block_pair, bench_model, speedup
 from .blocks import CABlock, Cpe, DCABlock, Downsample, ImageStem, MetaStem, SABlock, TokenGrid
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttentionConfig", "MhaParams", "Scaling", "entropy_scale",
-    "multi_head_attention", "scaled_dot_product_attention",
+    "multi_head_attention",
     "BenchResult", "bench_block_pair", "bench_model", "speedup",
     "CABlock", "Cpe", "DCABlock", "Downsample", "ImageStem", "MetaStem",
     "SABlock", "TokenGrid",

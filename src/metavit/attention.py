@@ -1,4 +1,4 @@
-"""Scaled dot-product attention and the multi-head wrapper.
+"""Attention scale factors and the multi-head attention wrapper.
 
 Two scale-factor modes are supported. Standard scaling divides the
 query-key logits by sqrt(width). Entropy-invariant scaling divides by
@@ -57,23 +57,6 @@ def entropy_scale(n_query: int, n_key: int, width: int) -> float:
     return (math.log(n_query) / math.log(n_key)) * math.sqrt(width)
 
 
-def scaled_dot_product_attention(
-    q: Tensor, k: Tensor, v: Tensor, scale: float, return_attn: bool = False
-):
-    """softmax(q k^T / scale) v over the last two axes, one ``tensor.attention`` node.
-
-    Shapes: q (..., N1, C), k and v (..., N2, C). Returns the output, or
-    (output, attention) when ``return_attn`` is set; the attention is a
-    constant tensor that no gradient flows through.
-    """
-    if scale <= 0:
-        raise ConfigError(f"attention scale must be positive, got {scale}")
-    if not return_attn:
-        return T.attention(q, k, v, 1.0 / scale)
-    out, attn = T.attention(q, k, v, 1.0 / scale, return_attn=True)
-    return out, Tensor(attn)
-
-
 @dataclass
 class MhaParams:
     """Projection weights for one multi-head attention call (each C x C)."""
@@ -88,23 +71,6 @@ class MhaParams:
     bo: Tensor
 
 
-def _split_heads(x: Tensor, heads: int, head_dim: int) -> Tensor:
-    lead = x.shape[:-2]
-    n = x.shape[-2]
-    x = T.reshape(x, lead + (n, heads, head_dim))
-    axes = list(range(x.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return T.permute(x, axes)  # (..., heads, N, head_dim)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    axes = list(range(x.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    x = T.permute(x, axes)  # (..., N, heads, head_dim)
-    lead = x.shape[:-2]
-    return T.reshape(x, lead[:-1] + (lead[-1], x.shape[-2] * x.shape[-1]))
-
-
 def multi_head_attention(
     q: Tensor,
     k: Tensor,
@@ -113,37 +79,33 @@ def multi_head_attention(
     params: MhaParams,
     return_attn: bool = False,
 ):
-    """Project, split into dim/head_dim heads, attend per head, reproject.
+    """Project, attend per head, reproject: five graph nodes.
 
-    With entropy-invariant scaling the per-head scale is
-    entropy_scale(N1, N2, head_dim); standard scaling uses sqrt(head_dim).
-    Returns the output, or (output, attention) when ``return_attn`` is set;
-    the attention is averaged over heads, a plain (..., N1, N2) array for
-    visualization.
+    The projections stay in the merged (..., N, dim) layout; ``tensor.attention``
+    reads its dim/head_dim heads through strided views. With entropy-invariant
+    scaling the per-head scale is entropy_scale(N1, N2, head_dim); standard
+    scaling uses sqrt(head_dim). Returns the output, or (output, attention)
+    when ``return_attn`` is set; the attention is averaged over heads, a plain
+    (..., N1, N2) array for visualization.
     """
     for name, t in (("q", q), ("k", k), ("v", v)):
         if t.shape[-1] != cfg.dim:
             raise ConfigError(
                 f"{name} width {t.shape[-1]} does not match configured dim {cfg.dim}"
             )
-    n_query = q.shape[-2]
-    n_key = k.shape[-2]
-    heads = cfg.num_heads
-
-    qp = _split_heads(T.linear(q, params.wq, params.bq), heads, cfg.head_dim)
-    kp = _split_heads(T.linear(k, params.wk, params.bk), heads, cfg.head_dim)
-    vp = _split_heads(T.linear(v, params.wv, params.bv), heads, cfg.head_dim)
-
     if cfg.scaling is Scaling.ENTROPY_INVARIANT:
-        scale = entropy_scale(n_query, n_key, cfg.head_dim)
+        scale = entropy_scale(q.shape[-2], k.shape[-2], cfg.head_dim)
     else:
         scale = math.sqrt(cfg.head_dim)
-
-    if return_attn:
-        out, attn = scaled_dot_product_attention(qp, kp, vp, scale, return_attn=True)
-    else:
-        out = scaled_dot_product_attention(qp, kp, vp, scale)
-    out = T.linear(_merge_heads(out), params.wo, params.bo)
-    if return_attn:
-        return out, attn.data.mean(axis=-3)  # average over heads
-    return out
+    attended = T.attention(
+        T.linear(q, params.wq, params.bq),
+        T.linear(k, params.wk, params.bk),
+        T.linear(v, params.wv, params.bv),
+        1.0 / scale,
+        heads=cfg.num_heads,
+        return_attn=return_attn,
+    )
+    if not return_attn:
+        return T.linear(attended, params.wo, params.bo)
+    out, probs = attended
+    return T.linear(out, params.wo, params.bo), probs.mean(axis=-3)  # average over heads

@@ -113,9 +113,12 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
             raise FormatError(f"unsupported version {version}", offset=4)
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
+            start = f.tell()
             name, arr = read_record(f)
             if name in out:
                 raise FormatError(f"duplicate tensor {name!r}", offset=f.tell())
+            if not np.isfinite(arr).all():
+                raise FormatError(f"tensor {name!r} holds NaN or infinite values", offset=start)
             out[name] = arr
         trailing = f.read(1)
         if trailing:

@@ -37,7 +37,6 @@ CONFIG_KEYS: dict[str, tuple] = {
     "use_ca_stage": (bool, True, "keep the cross-attention stage"),
     "use_meta_stem": (bool, True, "keep the meta token stem"),
     "use_meta_pooling": (bool, True, "fuse meta tokens into the classifier pool"),
-    "dca_sequential": (bool, False, "sequential dual-branch ordering"),
     "mode": (str, "pair", "bench mode: pair, model, or both"),
     "iters": (int, 30, "measured benchmark iterations (minimum 30)"),
     "warmup": (int, 10, "benchmark warmup iterations"),
@@ -155,7 +154,7 @@ def _spec_from(settings) -> VariantSpec:
         overrides["meta_len"] = settings["meta_len"]
     if settings["num_classes"] is not None:
         overrides["num_classes"] = settings["num_classes"]
-    for toggle in ("use_ca_stage", "use_meta_stem", "use_meta_pooling", "dca_sequential"):
+    for toggle in ("use_ca_stage", "use_meta_stem", "use_meta_pooling"):
         if settings[toggle] != CONFIG_KEYS[toggle][1]:
             overrides[toggle] = settings[toggle]
     return variant(settings["variant"], **overrides)

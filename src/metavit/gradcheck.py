@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    AttentionConfig,
-    MhaParams,
-    Scaling,
-    multi_head_attention,
-    scaled_dot_product_attention,
-)
+from .attention import AttentionConfig, MhaParams, Scaling, multi_head_attention
 from .blocks import CABlock, DCABlock, ParamStore, SABlock, TokenGrid
 from .model import Model, variant
 from .tensor import Tensor
@@ -149,13 +143,9 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
         "cross_entropy", fd_check(lambda: T.cross_entropy(logits, labels), [logits])
     ))
 
-    q, k, v = leaf(4, 8), leaf(6, 8), leaf(6, 8)
+    xl, wl, bl = leaf(2, 3, 4), leaf(4, 5), leaf(5)
     cases.append(CheckCase(
-        "sdpa",
-        fd_check(
-            lambda: _weighted_sum(scaled_dot_product_attention(q, k, v, scale=8 ** 0.5)),
-            [q, k, v],
-        ),
+        "linear-rank3", fd_check(lambda: _weighted_sum(T.linear(xl, wl, bl)), [xl, wl, bl])
     ))
 
     # one non-leaf read by three ops; sum_all's read-only broadcast view reaches it first
@@ -169,11 +159,19 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
 
     # batch 2, 4 keys, 7 query rows: a 24-logit tile budget gives tiles of 3, 3 and 1 rows
     qa, ka, va = leaf(2, 7, 3), leaf(2, 4, 3), leaf(2, 4, 5)
-    budget, T._TILE_ELEMENTS = T._TILE_ELEMENTS, 2 * 4 * 3
+    # 2 heads in the merged layout: a 32-logit budget gives tiles of 2, 2 and 1 rows
+    qh, kh, vh = leaf(2, 5, 6), leaf(2, 4, 6), leaf(2, 4, 4)
+    budget = T._TILE_ELEMENTS
     try:
+        T._TILE_ELEMENTS = 2 * 4 * 3
         cases.append(CheckCase(
             "attention-tiled",
             fd_check(lambda: _weighted_sum(T.attention(qa, ka, va, 0.6)), [qa, ka, va]),
+        ))
+        T._TILE_ELEMENTS = 2 * 2 * 4 * 2
+        cases.append(CheckCase(
+            "attention-heads",
+            fd_check(lambda: _weighted_sum(T.attention(qh, kh, vh, 0.6, heads=2)), [qh, kh, vh]),
         ))
     finally:
         T._TILE_ELEMENTS = budget

@@ -112,42 +112,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, op={self.op})"
-
-    # operator sugar used throughout blocks and tests
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -290,22 +256,6 @@ def add(a, b) -> Tensor:
     return _node(out, (a, b), vjp, "add")
 
 
-def sub(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    out = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
-
-    return _node(out, (a, b), vjp, "sub")
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _node(-a.data, (a,), lambda g: (-g,), "neg")
-
-
 def mul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
@@ -408,16 +358,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map over the last axis: ``x @ w + b`` for x of any rank."""
-    if x.ndim == 2:
-        y = matmul(x, w)
-    else:
-        lead = x.shape[:-1]
-        flat = reshape(x, (-1, x.shape[-1]))
-        y = reshape(matmul(flat, w), lead + (w.shape[-1],))
+    """Affine map over the last axis, ``x @ w + b`` for x of any rank, as one node.
+
+    ``w`` is (K, N) and ``b`` is (N,). Forward is one GEMM on the (rows, K)
+    view of x with the bias added in place; backward is one GEMM each for dx
+    and dw and one GEMV for db.
+    """
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
+        raise DimensionError(f"linear needs x (..., K) and w (K, N), got {x.shape}, {w.shape}")
+    k, n = w.shape
+    xf = x.data.reshape(-1, k)
+    out = xf @ w.data
+    _count_macs(xf.shape[0] * k * n)
     if b is not None:
-        y = add(y, b)
-    return y
+        out += b.data
+    parents = (x, w) if b is None else (x, w, b)
+
+    def vjp(g):
+        gf = g.reshape(-1, n)
+        dx = (gf @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        grads = [dx, xf.T @ gf]
+        if b is not None:
+            grads.append(_sum_leading(gf, 1))
+        return tuple(grads)
+
+    return _node(out.reshape(x.shape[:-1] + (n,)), parents, vjp, "linear")
 
 
 def _softmax_inplace(x: np.ndarray, scale: float = 1.0) -> None:
@@ -457,22 +422,27 @@ def softmax_rows(x: Tensor) -> Tensor:
 _TILE_ELEMENTS = 1 << 20
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, return_attn: bool = False):
-    """softmax(q k^T * scale) v over the last two axes, as one graph node.
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
+              return_attn: bool = False):
+    """softmax(q k^T * scale) v per head over the last two axes, as one graph node.
 
-    Shapes: q (..., N1, C), k (..., N2, C), v (..., N2, Cv), with equal
-    leading axes. Query rows are processed in tiles, each taken across all
-    leading axes at once, and a tile's logits are normalized in place before
-    they meet v, so the only N1 x N2 array is the probability array, kept
-    when a gradient is needed or ``return_attn`` asks for it. Otherwise one
-    scratch tile of at most ``_TILE_ELEMENTS`` values (one query row, if a
-    row is larger) is reused across tiles. Returns the output, or (output,
-    probabilities as a plain (..., N1, N2) array) when ``return_attn`` is
-    set. Backward writes only fresh arrays, never the probabilities or the
-    incoming gradient.
+    Shapes: q (..., N1, H*C), k (..., N2, H*C), v (..., N2, H*Cv), with equal
+    leading axes and H = ``heads``; each operand is read per head through a
+    strided (..., H, N, C) view, and the output (..., N1, H*Cv) is written
+    through one, so no per-head copy is made. Query rows are processed in
+    tiles, each taken across all leading and head axes at once, and a tile's
+    logits are normalized in place before they meet v, so the only N1 x N2
+    array is the (..., H, N1, N2) probability array, kept when a gradient is
+    needed or ``return_attn`` asks for it. Otherwise one scratch tile of at
+    most ``_TILE_ELEMENTS`` values (one query row, if a row is larger) is
+    reused across tiles. Returns the output, or (output, probabilities as a
+    plain array) when ``return_attn`` is set. Backward writes only fresh
+    arrays, never the probabilities or the incoming gradient.
     """
     if scale <= 0:
         raise ConfigError(f"attention scale must be positive, got {scale}")
+    if heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
+        raise DimensionError(f"{heads} heads do not split widths {q.shape}, {v.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"query width {q.shape} != key width {k.shape}")
     if k.shape[-2] != v.shape[-2]:
@@ -482,29 +452,39 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, return_attn: bool =
             f"attention leading axes disagree: {q.shape}, {k.shape}, {v.shape}"
         )
     scale = float(scale)  # a Python float keeps float32 arithmetic in float32
-    qd, kd, vd = q.data, k.data, v.data
-    lead, n1, n2 = qd.shape[:-2], qd.shape[-2], kd.shape[-2]
+
+    def split(a: np.ndarray) -> np.ndarray:
+        """The (..., H, N, C) view of a (..., N, H*C) array."""
+        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -2, -3)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    lead, n1, n2 = qh.shape[:-2], qh.shape[-2], kh.shape[-2]
     batch = math.prod(lead)
-    _count_macs(batch * n1 * n2 * (qd.shape[-1] + vd.shape[-1]))
+    _count_macs(batch * n1 * n2 * (qh.shape[-1] + vh.shape[-1]))
     rows = max(1, _TILE_ELEMENTS // (batch * n2))
-    kt = np.swapaxes(kd, -1, -2)
-    out = np.empty(lead + (n1, vd.shape[-1]), dtype=qd.dtype)
+    kt = np.swapaxes(kh, -1, -2)
+    out = np.empty(q.shape[:-1] + (v.shape[-1],), dtype=q.dtype)
+    outh = split(out)
     keep = return_attn or _recording((q, k, v))
-    probs = np.empty(lead + (n1, n2), dtype=qd.dtype) if keep else None
-    scratch = None if keep else np.empty(lead + (min(rows, n1), n2), dtype=qd.dtype)
+    probs = np.empty(lead + (n1, n2), dtype=q.dtype) if keep else None
+    scratch = None if keep else np.empty(lead + (min(rows, n1), n2), dtype=q.dtype)
     for r0 in range(0, n1, rows):
         r1 = min(r0 + rows, n1)
         tile = probs[..., r0:r1, :] if keep else scratch[..., : r1 - r0, :]
-        np.matmul(qd[..., r0:r1, :], kt, out=tile)
+        np.matmul(qh[..., r0:r1, :], kt, out=tile)
         _softmax_inplace(tile, scale)
-        np.matmul(tile, vd, out=out[..., r0:r1, :])
+        np.matmul(tile, vh, out=outh[..., r0:r1, :])
 
     def vjp(g):
-        dv = np.swapaxes(probs, -1, -2) @ g
-        ds = g @ np.swapaxes(vd, -1, -2)
+        gh = split(g)
+        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        np.matmul(np.swapaxes(probs, -1, -2), gh, out=split(dv))
+        ds = gh @ np.swapaxes(vh, -1, -2)
         _softmax_grad_inplace(probs, ds)
         ds *= scale
-        return ds @ kd, np.swapaxes(ds, -1, -2) @ qd, dv
+        np.matmul(ds, kh, out=split(dq))
+        np.matmul(np.swapaxes(ds, -1, -2), qh, out=split(dk))
+        return dq, dk, dv
 
     node = _node(out, (q, k, v), vjp, "attention")
     return (node, probs) if return_attn else node

@@ -11,7 +11,6 @@ from metavit.attention import (
     Scaling,
     entropy_scale,
     multi_head_attention,
-    scaled_dot_product_attention,
 )
 from metavit import tensor as T
 from metavit.errors import ConfigError, DimensionError
@@ -43,18 +42,20 @@ class TestEntropyScale:
 
 
 class TestScaledDotProductAttention:
+    """``tensor.attention`` multiplies the logits by the reciprocal of these scales."""
+
     def test_identical_keys_average_values(self, rng):
         q = Tensor(rng.standard_normal((3, 4)))
         k = Tensor(np.tile(rng.standard_normal(4), (5, 1)))
         v = Tensor(rng.standard_normal((5, 4)))
-        out = scaled_dot_product_attention(q, k, v, scale=2.0)
+        out = T.attention(q, k, v, 1 / 2.0)
         assert_allclose(out.data, np.tile(v.data.mean(axis=0), (3, 1)), atol=1e-6)
 
     def test_saturated_softmax_selects_one_value(self, rng):
         k = rng.standard_normal((4, 8)).astype(np.float32)
         q = (k[2] * 1e4 / np.dot(k[2], k[2]))[None, :].astype(np.float32)
         v = rng.standard_normal((4, 8)).astype(np.float32)
-        out = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), scale=1.0)
+        out = T.attention(Tensor(q), Tensor(k), Tensor(v), 1 / 1.0)
         assert np.abs(out.data[0] - v[2]).max() < 1e-4
 
     def test_against_naive_oracle(self, rng):
@@ -62,20 +63,20 @@ class TestScaledDotProductAttention:
         k = rng.standard_normal((4, 8))
         v = rng.standard_normal((4, 8))
         scale = math.sqrt(8)
-        out = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), scale).data
+        out = T.attention(Tensor(q), Tensor(k), Tensor(v), 1 / scale).data
         assert_allclose(out, naive_attention(q, k, v, scale), atol=1e-5)
 
     def test_attention_rows_returned(self, rng):
         q, k, v = (Tensor(rng.standard_normal((3, 4))) for _ in range(3))
-        out, attn = scaled_dot_product_attention(q, k, v, 2.0, return_attn=True)
-        assert attn.shape == (3, 3)
-        assert_allclose(attn.data.sum(axis=-1), np.ones(3), atol=1e-6)
+        out, attn = T.attention(q, k, v, 1 / 2.0, return_attn=True)
+        assert attn.shape == (1, 3, 3)  # (heads, N1, N2)
+        assert_allclose(attn.sum(axis=-1), np.ones((1, 3)), atol=1e-6)
 
     def test_width_mismatch_rejected(self, rng):
         with pytest.raises(DimensionError):
-            scaled_dot_product_attention(
+            T.attention(
                 Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                Tensor(np.zeros((2, 4))), 1.0,
+                Tensor(np.zeros((2, 4))), 1 / 1.0,
             )
 
     def test_output_rows_are_convex_combinations(self, rng):
@@ -84,7 +85,7 @@ class TestScaledDotProductAttention:
             q = rng.standard_normal((n1, c)) * 3
             k = rng.standard_normal((n2, c)) * 3
             v = rng.standard_normal((n2, c))
-            out = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), 1.5).data
+            out = T.attention(Tensor(q), Tensor(k), Tensor(v), 1 / 1.5).data
             lo = v.min(axis=0) - 1e-6
             hi = v.max(axis=0) + 1e-6
             assert (out >= lo).all() and (out <= hi).all()
@@ -96,9 +97,9 @@ class TestScaledDotProductAttention:
             k = rng.standard_normal((n2, 6))
             v = rng.standard_normal((n2, 6))
             perm = rng.permutation(n2)
-            base = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), 2.0).data
-            shuffled = scaled_dot_product_attention(
-                Tensor(q), Tensor(k[perm]), Tensor(v[perm]), 2.0
+            base = T.attention(Tensor(q), Tensor(k), Tensor(v), 1 / 2.0).data
+            shuffled = T.attention(
+                Tensor(q), Tensor(k[perm]), Tensor(v[perm]), 1 / 2.0
             ).data
             assert np.abs(base - shuffled).max() < 1e-6
 
@@ -109,9 +110,9 @@ class TestScaledDotProductAttention:
             k = rng.standard_normal((4, 5))
             v = rng.standard_normal((4, 5))
             perm = rng.permutation(n1)
-            base = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), 2.0).data
-            permuted = scaled_dot_product_attention(
-                Tensor(q[perm]), Tensor(k), Tensor(v), 2.0
+            base = T.attention(Tensor(q), Tensor(k), Tensor(v), 1 / 2.0).data
+            permuted = T.attention(
+                Tensor(q[perm]), Tensor(k), Tensor(v), 1 / 2.0
             ).data
             assert np.abs(base[perm] - permuted).max() < 1e-6
 
@@ -143,6 +144,23 @@ def _composed(q, k, v, scale):
     return T.matmul(T.softmax_rows(logits), v)
 
 
+def _swap_heads(x: Tensor) -> Tensor:
+    axes = list(range(x.ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    return T.permute(x, axes)
+
+
+def _split_attend_merge(q, k, v, scale, heads):
+    """Per-head copies in, one-head attention, merged copy out: what ``heads`` replaces."""
+
+    def split(x):
+        return _swap_heads(T.reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads)))
+
+    out, probs = T.attention(split(q), split(k), split(v), scale, return_attn=True)
+    out = _swap_heads(out)
+    return T.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],)), probs[..., 0, :, :]
+
+
 class TestFusedAttentionOp:
     @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("n1,n2", [(7, 5), (1, 5), (7, 1), (9, 9)])
@@ -153,9 +171,9 @@ class TestFusedAttentionOp:
         want = _per_head_oracle(q, k, v, 2.0)
         small_tiles(6, n2, 2)  # 2 query rows per tile: N1 = 7 or 9 leaves a partial tile
         out, probs = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5, return_attn=True)
-        assert out.dtype == dtype and probs.shape == (2, 3, n1, n2)
+        assert out.dtype == dtype and probs.shape == (2, 3, 1, n1, n2)  # one head
         assert_allclose(out.data, want, atol=atol)
-        assert_allclose(probs.sum(axis=-1), np.ones((2, 3, n1)), atol=atol)
+        assert_allclose(probs.sum(axis=-1), np.ones((2, 3, 1, n1)), atol=atol)
         plain = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5)  # scratch tiles
         assert_allclose(plain.data, out.data, rtol=1e-6, atol=atol)
 
@@ -195,6 +213,35 @@ class TestFusedAttentionOp:
         T.backward(T.sum_all(T.mul(out, Tensor(rng.standard_normal(out.shape)))))
         assert np.array_equal(probs, before)
 
+    @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_heads_match_split_attend_merge(self, rng, small_tiles, dtype, atol):
+        leaves = [rng.standard_normal((2, n, 3 * c)).astype(dtype) for n, c in ((7, 4), (5, 4), (5, 3))]
+        weight = Tensor(rng.standard_normal((2, 7, 9)).astype(dtype))
+        small_tiles(2 * 3, 5, 2)  # 2 query rows per tile: tiles of 2, 2, 2 and 1 rows
+        runs = []
+        for fused in (False, True):
+            q, k, v = (Tensor(a, requires_grad=True) for a in leaves)
+            if fused:
+                out, probs = T.attention(q, k, v, 0.7, heads=3, return_attn=True)
+            else:
+                out, probs = _split_attend_merge(q, k, v, 0.7, 3)
+            T.backward(T.sum_all(T.mul(out, weight)))
+            runs.append((out.data, probs, [t.grad for t in (q, k, v)]))
+        (want, want_probs, want_grads), (got, got_probs, got_grads) = runs
+        assert got.shape == (2, 7, 9) and got_probs.shape == (2, 3, 7, 5)
+        assert_allclose(got, want, rtol=1e-10, atol=atol)
+        assert_allclose(got_probs, want_probs, rtol=1e-10, atol=atol)
+        for fused, composed in zip(got_grads, want_grads):
+            assert fused.shape == composed.shape
+            assert_allclose(fused, composed, rtol=1e-10, atol=atol)
+
+    def test_heads_must_split_widths(self):
+        z = lambda *shape: Tensor(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            T.attention(z(3, 6), z(4, 6), z(4, 5), 1.0, heads=2)
+        with pytest.raises(DimensionError):
+            T.attention(z(3, 6), z(4, 6), z(4, 6), 1.0, heads=4)
+
     def test_mismatched_shapes_and_scale_rejected(self):
         z = lambda *shape: Tensor(np.zeros(shape))
         with pytest.raises(DimensionError):
@@ -233,7 +280,7 @@ class TestMultiHeadAttention:
         cfg = AttentionConfig(dim, head_dim=dim)
         q, k, v = (Tensor(rng.standard_normal((5, dim)).astype(np.float32)) for _ in range(3))
         got = multi_head_attention(q, k, v, cfg, _identity_params(dim))
-        want = scaled_dot_product_attention(q, k, v, math.sqrt(dim))
+        want = T.attention(q, k, v, 1 / math.sqrt(dim))
         assert_allclose(got.data, want.data, atol=1e-6)
 
     def test_entropy_invariant_equals_standard_when_counts_match(self, rng):
@@ -259,6 +306,14 @@ class TestMultiHeadAttention:
                 Tensor(qb[i]), Tensor(kb[i]), Tensor(vb[i]), cfg, params
             ).data
             assert_allclose(batched[i], single, atol=1e-5)
+
+    def test_records_five_nodes(self, rng):
+        dim = 8
+        params = _random_params(rng, dim)
+        q, k = (Tensor(rng.standard_normal((2, n, dim)), requires_grad=True) for n in (5, 3))
+        out = multi_head_attention(q, k, k, AttentionConfig(dim, 4), params)
+        ops = sorted(n.op for n in Graph.trace(out).nodes if n.op != "leaf")
+        assert ops == ["attention", "linear", "linear", "linear", "linear"]
 
     def test_width_mismatch_rejected(self, rng):
         cfg = AttentionConfig(8, 4)

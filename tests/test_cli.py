@@ -75,6 +75,14 @@ class TestExitCodes:
         bad.write_bytes(b"XXXXgarbage")
         assert main(["infer", "--checkpoint", str(bad), "--image", image_file]) == 2
 
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, capsys, image_file):
+        model = build_variant(variant("tiny-narrow", num_classes=3), 0)
+        next(iter(model.parameters().values())).data.reshape(-1)[0] = np.nan
+        path = tmp_path / "nan.lmvt"
+        save_checkpoint(model, str(path))
+        assert main(["infer", "--checkpoint", str(path), "--image", image_file]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["infer", "attmap"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_image_is_data_error(self, tmp_path, capsys, ckpt_file, command, bad):

@@ -146,6 +146,12 @@ class TestForward:
             logits = toy_model(**overrides).forward_classify(img)
             assert np.isfinite(logits.data).all()
 
+    def test_train_step_graph_is_lean(self, rng):
+        # one node per linear layer and five per attention branch: 347 nodes at batch 32
+        logits = toy_model().forward_classify(toy_image(rng, batch=32))
+        loss = T.cross_entropy(logits, np.zeros(32, dtype=np.int64))
+        assert len(T.Graph.trace(loss)) <= 350
+
 
 class TestAttentionMaps:
     def test_map_count_and_normalization(self, rng):
@@ -328,6 +334,15 @@ class TestCheckpoint:
         save_tensors(path, table)
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected_with_offset(self, tmp_path, bad):
+        path = str(tmp_path / "t.lmvt")
+        save_tensors(path, {"a": np.zeros(2, np.float32), "b": np.array([1.0, bad], np.float32)})
+        with pytest.raises(FormatError, match="NaN or infinite") as err:
+            load_tensors(path)
+        # record "b" starts after the header (12 bytes) and record "a" (2 + 1 + 2 + 4 + 8)
+        assert err.value.offset == 12 + 17
 
     def test_toggles_survive_round_trip(self, tmp_path, rng):
         model = toy_model(seed=1, use_meta_pooling=False, dca_sequential=True)

@@ -55,6 +55,42 @@ class TestMatmul:
         assert_allclose(dist.data, split.data, atol=1e-5)
 
 
+class TestLinear:
+    def test_rank3_matches_reshape_matmul_reshape_add(self, rng):
+        arrays = [rng.standard_normal(shape) for shape in ((2, 5, 4), (4, 3), (3,))]
+        weight = Tensor(rng.standard_normal((2, 5, 3)))
+        runs = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+            if fused:
+                y = T.linear(x, w, b)
+            else:
+                y = T.add(T.reshape(T.matmul(T.reshape(x, (10, 4)), w), (2, 5, 3)), b)
+            T.backward(T.sum_all(T.mul(y, weight)))
+            runs.append((y.data, [t.grad for t in (x, w, b)]))
+        (got, got_grads), (want, want_grads) = runs
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        for fused, composed in zip(got_grads, want_grads):
+            assert fused.shape == composed.shape
+            assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+
+    def test_one_node_and_one_mac_count(self, rng):
+        x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+        w, b = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal(3))
+        with MacCounter() as meter:
+            y = T.linear(x, w, b)
+            plain = T.linear(x, w)
+        assert y.op == "linear" and y._parents == (x, w, b) and y.shape == (2, 5, 3)
+        assert plain._parents == (x, w)
+        assert_allclose(y.data, plain.data + b.data, rtol=1e-12)
+        assert len(Graph.trace(y)) == 4
+        assert meter.total == 2 * (10 * 4 * 3)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            T.linear(Tensor(np.ones((2, 5, 4))), Tensor(np.ones((3, 2))))
+
+
 class TestSoftmaxRows:
     def test_uniform_row(self):
         out = T.softmax_rows(Tensor([[0.0, 0.0, 0.0, 0.0]]))
