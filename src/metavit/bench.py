@@ -3,15 +3,21 @@
 Timing uses the monotonic high-resolution clock only. Runs are warmed up,
 then every measured iteration is recorded individually; the median is the
 headline number for comparisons (robust to scheduler jitter), with mean
-and standard deviation reported alongside. When ``threadpoolctl`` can be
-imported, BLAS thread pools are pinned to one thread during measurement
-so latency ratios track arithmetic cost; without it nothing is pinned.
+and standard deviation reported alongside. Every OpenBLAS loaded into
+the process (numpy and scipy ship one each) is pinned to one thread during
+measurement, through its own ``*_set_num_threads`` entry point, so latency
+ratios track arithmetic cost and not thread scheduling; each library's
+previous count is restored afterwards. Where no OpenBLAS is found (another
+BLAS, or no ``/proc/self/maps``) nothing is pinned.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +28,11 @@ from .errors import UsageError
 from .model import Model, VariantSpec
 from .tensor import Tensor
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - available in the supported env
-    from contextlib import nullcontext
-
-    def threadpool_limits(limits=None):
-        return nullcontext()
+# (get, set) thread-count entry points of the OpenBLAS builds numpy and scipy ship
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")
+)
 
 MIN_ITERS = 30
 MIN_WARMUP = 10
@@ -56,8 +60,45 @@ class BenchResult:
         }
 
 
+def _openblas_thread_controls() -> list[tuple]:
+    """(get_num_threads, set_num_threads) of every OpenBLAS mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(line.split()[-1] for line in maps)
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        name = os.path.basename(path).lower()
+        if "openblas" not in name or ".so" not in name:
+            continue
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread inside the context."""
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, previous):
+            set_(n)
+
+
 def _time_loop(fn, warmup: int, iters: int) -> list[float]:
-    with threadpool_limits(limits=1):
+    with _one_blas_thread():
         for _ in range(warmup):
             fn()
         samples = []

@@ -385,8 +385,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _node(out.reshape(x.shape[:-1] + (n,)), parents, vjp, "linear")
 
 
-def _softmax_inplace(x: np.ndarray, scale: float = 1.0) -> None:
-    """Overwrite ``x`` with softmax(x * scale) over its last axis (scale > 0).
+def _softmax_numerators(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Overwrite ``x`` with exp((x - rowmax) * scale) over its last axis (scale > 0)
+    and return the (..., 1) reciprocal row sums that normalize it.
 
     The row max is subtracted before scaling, which is the same shift since
     scale is positive. The row sums are one GEMV against a ones vector, about
@@ -395,7 +396,7 @@ def _softmax_inplace(x: np.ndarray, scale: float = 1.0) -> None:
     x -= x.max(axis=-1, keepdims=True)
     x *= scale
     np.exp(x, out=x)
-    x *= 1.0 / (x @ np.ones(x.shape[-1], dtype=x.dtype))[..., None]
+    return 1.0 / (x @ np.ones(x.shape[-1], dtype=x.dtype))[..., None]
 
 
 def _softmax_grad_inplace(p: np.ndarray, d: np.ndarray) -> None:
@@ -408,7 +409,7 @@ def _softmax_grad_inplace(p: np.ndarray, d: np.ndarray) -> None:
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, stabilized by max subtraction."""
     out = x.data.copy()
-    _softmax_inplace(out)
+    out *= _softmax_numerators(out)
 
     def vjp(g):
         d = g.copy()
@@ -430,8 +431,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     leading axes and H = ``heads``; each operand is read per head through a
     strided (..., H, N, C) view, and the output (..., N1, H*Cv) is written
     through one, so no per-head copy is made. Query rows are processed in
-    tiles, each taken across all leading and head axes at once, and a tile's
-    logits are normalized in place before they meet v, so the only N1 x N2
+    tiles, each taken across all leading and head axes at once. A tile's
+    logits become unnormalized softmax numerators in place before they meet
+    v, and the tile's (rows, Cv) output rows are then scaled by the
+    reciprocal row sums, which costs 1/Cv of normalizing the N2-wide rows;
+    a kept tile is normalized after its output is written, so the output
+    does not depend on whether probabilities are kept. The only N1 x N2
     array is the (..., H, N1, N2) probability array, kept when a gradient is
     needed or ``return_attn`` asks for it. Otherwise one scratch tile of at
     most ``_TILE_ELEMENTS`` values (one query row, if a row is larger) is
@@ -472,8 +477,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
         r1 = min(r0 + rows, n1)
         tile = probs[..., r0:r1, :] if keep else scratch[..., : r1 - r0, :]
         np.matmul(qh[..., r0:r1, :], kt, out=tile)
-        _softmax_inplace(tile, scale)
-        np.matmul(tile, vh, out=outh[..., r0:r1, :])
+        recip = _softmax_numerators(tile, scale)
+        rows_out = outh[..., r0:r1, :]
+        np.matmul(tile, vh, out=rows_out)
+        rows_out *= recip
+        if keep:
+            tile *= recip
 
     def vjp(g):
         gh = split(g)
@@ -491,29 +500,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    if x.shape[-1] != gamma.shape[-1] or gamma.shape != beta.shape:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    ``gamma`` and ``beta`` are (D,) for x (..., D). Row means are one GEMV
+    against a 1/D vector and row variances one einsum of the centred rows
+    with themselves; forward allocates two full-size arrays, ``xhat`` and
+    the output. At this model's shapes that runs 1.7-3.7x faster than
+    ``mean`` over the last axis with five full-size temporaries.
+    """
+    d = x.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match "
-            f"feature width {x.shape[-1]}"
+            f"feature width {d}"
         )
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    mean_vec = np.full(d, 1.0 / d, dtype=x.dtype)
+
+    def row_mean(a: np.ndarray) -> np.ndarray:
+        return (a @ mean_vec)[..., None]
+
+    xhat = x.data - row_mean(x.data)
+    var = np.einsum("...j,...j->...", xhat, xhat)[..., None] / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = gamma.data * xhat + beta.data
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def vjp(g):
-        ggam = g * gamma.data
-        dgamma = _unbroadcast(g * xhat, gamma.shape)
-        dbeta = _unbroadcast(g, beta.shape)
-        m1 = ggam.mean(axis=-1, keepdims=True)
-        m2 = (ggam * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (ggam - m1 - xhat * m2)
-        return dx, dgamma, dbeta
+        gx = g * xhat
+        dgamma = _sum_leading(gx, g.ndim - 1)
+        gx *= gamma.data  # now ggam * xhat
+        dx = g * gamma.data  # ggam
+        dx -= row_mean(dx)
+        dx -= np.multiply(xhat, row_mean(gx), out=gx)
+        dx *= inv
+        return dx, dgamma, _sum_leading(g, g.ndim - 1)
 
     return _node(out, (x, gamma, beta), vjp, "layer_norm")
 
@@ -521,15 +544,87 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Eigen's and XLA's float32 erf(z) = z P(z^2) / Q(z^2) on z clipped to +-4,
+# monomial coefficients in increasing powers of z^2 (6.5e-8 from the exact
+# erf when evaluated in float64). _PHI_P and _PHI_Q fold z = x / sqrt(2) and
+# the 0.5 of Phi into them: Phi(x) = 0.5 + x P'(x^2) / Q'(x^2).
+_ERF_P = (-1.60960333262415e-02, -2.95459980854025e-03, -7.34990630326855e-04,
+          -5.69250639462346e-05, -2.10102402082508e-06, 2.77068142495902e-08,
+          -2.72614225801306e-10)
+_ERF_Q = (-1.42647390514189e-02, -7.37332916720468e-03, -1.68282697438203e-03,
+          -2.13374055278905e-04, -1.45660718464996e-05)
+_PHI_P = tuple(a * 0.5 ** (k + 1.5) for k, a in enumerate(_ERF_P))
+_PHI_Q = tuple(b * 0.5**k for k, b in enumerate(_ERF_Q))
+_PHI_CLIP = 4.0 * math.sqrt(2.0)
+
+# the float32 normal CDF is evaluated over chunks of this many elements;
+# 64K beat 16K and 256K at the model's (3136, 256) FFN width
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _horner(x2: np.ndarray, coeffs, out: np.ndarray) -> None:
+    """Write sum(coeffs[k] * x2**k) into ``out``."""
+    np.multiply(x2, coeffs[-1], out=out)
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= x2
+    out += coeffs[0]
+
+
+def _normal_cdf_float32(x: np.ndarray) -> np.ndarray:
+    """Phi(x) for float32 ``x`` through the rational erf, as a fresh array.
+
+    scipy's ``erf`` is a scalar loop; this runs about 25 vectorized passes
+    per chunk, with each chunk's three work buffers small enough to stay in
+    cache.
+    """
+    flat = x.reshape(-1)
+    phi = np.empty_like(flat)
+    size = max(1, min(_CHUNK_ELEMENTS, flat.size))
+    xc, x2, den = (np.empty(size, dtype=np.float32) for _ in range(3))
+    for i in range(0, flat.size, size):
+        n = min(size, flat.size - i)
+        a, b, q, p = xc[:n], x2[:n], den[:n], phi[i : i + n]
+        np.clip(flat[i : i + n], -_PHI_CLIP, _PHI_CLIP, out=a)
+        np.multiply(a, a, out=b)
+        _horner(b, _PHI_P, p)
+        p *= a
+        _horner(b, _PHI_Q, q)
+        p /= q
+        p += 0.5
+    return phi.reshape(x.shape)
+
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = x.data * phi
+    """GELU, x * Phi(x) with Phi the standard normal CDF (arXiv 1606.08415).
+
+    float32 evaluates Phi with the rational erf above, within 2e-6 absolute
+    of the exact GELU; float64 keeps scipy's exact ``erf``, the reference
+    gradcheck tests against. Without a graph the output is formed in Phi's
+    buffer. The input array is never written.
+    """
+    if x.dtype == np.float32:
+        phi = _normal_cdf_float32(x.data)
+    else:
+        phi = erf(x.data * _INV_SQRT2)
+        phi += 1.0
+        phi *= 0.5
+    if _recording((x,)):
+        out = x.data * phi
+    else:
+        out = phi
+        out *= x.data
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (phi + x.data * pdf),)
+        # d/dx x Phi(x) = Phi(x) + x pdf(x)
+        d = np.square(x.data)
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= x.data
+        d += phi
+        d *= g
+        return (d,)
 
     return _node(out, (x,), vjp, "gelu")
 

@@ -177,6 +177,12 @@ class TestFusedAttentionOp:
         plain = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5)  # scratch tiles
         assert_allclose(plain.data, out.data, rtol=1e-6, atol=atol)
 
+    def test_output_independent_of_kept_probabilities(self, rng, small_tiles):
+        q, k, v = (Tensor(rng.standard_normal((2, n, 6)).astype(np.float32)) for n in (7, 5, 5))
+        small_tiles(2 * 2, 5, 3)  # tiles of 3, 3 and 1 query rows
+        kept, _ = T.attention(q, k, v, 0.5, heads=2, return_attn=True)
+        assert np.array_equal(T.attention(q, k, v, 0.5, heads=2).data, kept.data)
+
     def test_one_node_and_the_macs_of_two_products(self, rng):
         q, k, v = (Tensor(rng.standard_normal((2, n, 4)), requires_grad=True) for n in (5, 3, 3))
         with MacCounter() as meter:

@@ -1,5 +1,6 @@
 import pytest
 
+from metavit import bench
 from metavit.bench import bench_block_pair, bench_model, speedup
 from metavit.errors import UsageError
 from metavit.model import variant
@@ -28,6 +29,18 @@ class TestBenchBlockPair:
         # mean * iters reconstructs total time; throughput = iters / total
         reconstructed = dca.iters / (dca.mean_s * dca.iters)
         assert abs(reconstructed - dca.throughput) / dca.throughput < 0.01
+
+
+class TestBlasPinning:
+    def test_time_loop_runs_on_one_blas_thread_and_restores(self):
+        controls = bench._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS loaded")
+        before = [get() for get, _ in controls]
+        seen = []
+        bench._time_loop(lambda: seen.append([get() for get, _ in controls]), 1, 2)
+        assert seen == [[1] * len(controls)] * 3
+        assert [get() for get, _ in controls] == before
 
 
 class TestBenchModel:

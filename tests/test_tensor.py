@@ -148,6 +148,32 @@ class TestLayerNorm:
         assert np.abs(out.mean(axis=-1)).max() < 1e-5
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-3
 
+    @pytest.mark.parametrize("shape", [(3136, 64), (16, 192)])
+    def test_float32_close_to_float64_formula(self, rng, shape):
+        arrays = [(rng.standard_normal(shape) * 3 + 1).astype(np.float32)]
+        arrays += [rng.standard_normal(shape[-1]).astype(np.float32) for _ in range(2)]
+        x, gamma, beta = (a.astype(np.float64) for a in arrays)
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        want = gamma * (centered / np.sqrt(var + 1e-5)) + beta
+        got = T.layer_norm(*(Tensor(a) for a in arrays))
+        assert got.dtype == np.float32
+        assert_allclose(got.data, want, atol=5e-6)
+        weight = rng.standard_normal(shape)
+        grads = []
+        for dtype in (np.float32, np.float64):
+            leaves = [Tensor(a, dtype=dtype, requires_grad=True) for a in arrays]
+            T.backward(T.sum_all(T.mul(T.layer_norm(*leaves), Tensor(weight, dtype=dtype))))
+            grads.append([t.grad for t in leaves])
+        for g32, g64 in zip(*grads):
+            assert g32.dtype == np.float32
+            assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+    def test_affine_must_be_one_feature_vector(self):
+        x = Tensor(np.ones((2, 4)))
+        with pytest.raises(DimensionError):
+            T.layer_norm(x, Tensor(np.ones((1, 4))), Tensor(np.zeros((1, 4))))
+
 
 class TestGelu:
     def test_zero(self):
@@ -162,6 +188,48 @@ class TestGelu:
         x = np.linspace(-0.7, 3, 301)
         y = T.gelu(Tensor(x)).data
         assert (np.diff(y) > 0).all()
+
+    def test_float32_monotone_above_the_dip(self):
+        x = np.linspace(-0.7, 3, 3001, dtype=np.float32)
+        y = T.gelu(Tensor(x)).data
+        assert y.dtype == np.float32
+        assert (np.diff(y) > 0).all()
+
+    def test_float32_within_2e6_of_exact(self):
+        # +-4 sqrt(2) is where the rational erf's argument is clipped
+        edge = 4 * math.sqrt(2)
+        x = np.concatenate([np.linspace(-10, 10, 400_001), [-edge, edge]]).astype(np.float32)
+        exact = T.gelu(Tensor(x, dtype=np.float64)).data  # scipy erf
+        got = T.gelu(Tensor(x)).data
+        assert got.dtype == np.float32
+        assert np.abs(got - exact).max() < 2e-6
+
+    def test_chunks_match_one_chunk(self, rng, monkeypatch):
+        x = (rng.standard_normal((5, 9)) * 3).astype(np.float32)
+        whole = T.gelu(Tensor(x)).data
+        monkeypatch.setattr(T, "_CHUNK_ELEMENTS", 7)  # 6 chunks of 7 and one of 3
+        assert np.array_equal(T.gelu(Tensor(x)).data, whole)
+        assert np.array_equal(T.gelu(Tensor(x[:, :1])).data, whole[:, :1])  # one short chunk
+
+    def test_float32_gradient_close_to_float64(self, rng):
+        x = rng.standard_normal(4000) * 3
+        weight = rng.standard_normal(4000)
+        grads = []
+        for dtype in (np.float32, np.float64):
+            leaf = Tensor(x, dtype=dtype, requires_grad=True)
+            T.backward(T.sum_all(T.mul(T.gelu(leaf), Tensor(weight, dtype=dtype))))
+            grads.append(leaf.grad)
+        assert grads[0].dtype == np.float32
+        assert_allclose(grads[0], grads[1], rtol=1e-6, atol=2e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_not_written(self, rng, dtype):
+        x = rng.standard_normal((3, 4)).astype(dtype)
+        kept = x.copy()
+        with T.no_grad():
+            out = T.gelu(Tensor(x))
+        assert np.array_equal(x, kept)
+        assert not np.shares_memory(out.data, x)
 
 
 def _nhwc(a):
