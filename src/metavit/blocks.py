@@ -77,39 +77,61 @@ class TokenGrid:
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
-    """Normal(0, std) resampled until all draws fall within two deviations."""
+    """Normal(0, std) resampled until all draws fall within two deviations.
+
+    Each pass redraws the out-of-bound entries in index order and checks
+    only those again.
+    """
     out = rng.normal(0.0, std, size=shape)
+    flat = out.reshape(-1)
     bound = 2.0 * std
-    bad = np.abs(out) > bound
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > bound
+    bad = np.flatnonzero(np.abs(flat) > bound)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > bound]
     return out
 
 
 class ParamStore:
-    """Creates named leaf parameters with deterministic initialization."""
+    """Creates named leaf parameters, drawn from a seeded generator or given.
 
-    def __init__(self, seed: int, dtype=np.float32):
+    With ``arrays`` (parameter name -> array, as read from a checkpoint)
+    each registration takes the array under its name after checking its
+    shape: nothing is drawn, and nothing is copied when the dtype matches.
+    A missing name or a wrong shape raises ``ConfigError``.
+    """
+
+    def __init__(self, seed: int, dtype=np.float32, arrays: dict[str, np.ndarray] | None = None):
         self.rng = np.random.default_rng(seed)
         self.dtype = np.dtype(dtype)
+        self.arrays = arrays
         self.params: dict[str, Tensor] = {}
 
-    def _register(self, name: str, arr: np.ndarray) -> Tensor:
+    def _register(self, name: str, shape, draw) -> Tensor:
         if name in self.params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        t = Tensor(arr.astype(self.dtype), requires_grad=True)
+        if self.arrays is None:
+            arr = draw()
+        elif name not in self.arrays:
+            raise ConfigError(f"no array for parameter {name!r}")
+        else:
+            arr = self.arrays[name]
+            if arr.shape != tuple(shape):
+                raise ConfigError(
+                    f"parameter {name!r} has shape {arr.shape}, expected {tuple(shape)}"
+                )
+        t = Tensor(arr.astype(self.dtype, copy=False), requires_grad=True)
         self.params[name] = t
         return t
 
     def weight(self, name: str, shape, std: float = INIT_STD) -> Tensor:
-        return self._register(name, trunc_normal(self.rng, shape, std))
+        return self._register(name, shape, lambda: trunc_normal(self.rng, shape, std))
 
     def zeros(self, name: str, shape) -> Tensor:
-        return self._register(name, np.zeros(shape))
+        return self._register(name, shape, lambda: np.zeros(shape))
 
     def ones(self, name: str, shape) -> Tensor:
-        return self._register(name, np.ones(shape))
+        return self._register(name, shape, lambda: np.ones(shape))
 
     def total_size(self) -> int:
         return sum(p.size for p in self.params.values())

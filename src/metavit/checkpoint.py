@@ -16,7 +16,8 @@ Wire format, all integers little-endian:
 Model parameters are stored under their registry names. The architecture
 description rides along as reserved ``config/*`` tensors (small float32
 arrays of exactly representable integers) so a checkpoint alone suffices
-to rebuild the model. Round trips are bit-exact.
+to rebuild the model, which takes the loaded arrays as its parameters.
+Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -87,12 +88,14 @@ def read_record(f) -> tuple[str, np.ndarray]:
             f"payload of {name!r} needs {4 * count} bytes, the file has {left} left",
             offset=here,
         )
-    payload = _read_exact(f, 4 * count, f"payload of {name!r}")
     try:  # too many dims, or a zero-size shape whose other dims overflow
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        arr = np.empty(dims, dtype="<f4")
     except ValueError as exc:
         raise FormatError(f"shape {dims} of {name!r}: {exc}", offset=start) from None
-    return name, arr.astype(np.float32)
+    got = f.readinto(arr)
+    if got != arr.nbytes:
+        raise FormatError(f"truncated file while reading payload of {name!r}", offset=here + got)
+    return name, arr.astype(np.float32, copy=False)  # no copy on little-endian hosts
 
 
 def save_tensors(path: str, tensors: dict[str, np.ndarray]) -> None:
@@ -190,23 +193,19 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Model:
-    table = load_tensors(path)
-    cfg = {k: v for k, v in table.items() if k.startswith(_CONFIG_PREFIX)}
-    weights = {k: v for k, v in table.items() if not k.startswith(_CONFIG_PREFIX)}
+    """The model a checkpoint describes, built on the file's own arrays.
+
+    Every parameter's shape is checked against the stored config as it is
+    registered, so a forged config cannot size an allocation.
+    """
+    weights = load_tensors(path)
+    cfg = {k: weights.pop(k) for k in list(weights) if k.startswith(_CONFIG_PREFIX)}
     spec = _spec_from_config(cfg)
-    model = Model(spec, seed=0)
-    params = model.parameters()
-    missing = sorted(set(params) - set(weights))
-    extra = sorted(set(weights) - set(params))
-    if missing or extra:
-        raise FormatError(
-            f"parameter table mismatch: missing {missing[:3]}, unexpected {extra[:3]}"
-        )
-    for name, p in params.items():
-        arr = weights[name]
-        if arr.shape != p.shape:
-            raise FormatError(
-                f"tensor {name!r} has shape {arr.shape}, model expects {p.shape}"
-            )
-        p.data = np.ascontiguousarray(arr, dtype=np.float32)
+    try:
+        model = Model(spec, seed=0, arrays=weights)
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint does not match its config: {exc}") from None
+    extra = sorted(set(weights) - set(model.parameters()))
+    if extra:
+        raise FormatError(f"checkpoint has unexpected tensors {extra[:3]}")
     return model

@@ -137,13 +137,15 @@ class Model:
     """A built network: parameter store plus the stage pipeline.
 
     A model holds no per-call state, so one instance can serve forwards
-    from several threads at once.
+    from several threads at once. ``arrays`` (parameter name -> array)
+    supplies the parameters instead of the seeded draw; see ``ParamStore``.
     """
 
-    def __init__(self, spec: VariantSpec, seed: int, dtype=np.float32):
+    def __init__(self, spec: VariantSpec, seed: int, dtype=np.float32,
+                 arrays: dict[str, np.ndarray] | None = None):
         self.spec = spec
         self.seed = seed
-        store = ParamStore(seed, dtype=dtype)
+        store = ParamStore(seed, dtype=dtype, arrays=arrays)
         self.store = store
         d1, d2, d3, d4 = spec.dims
 

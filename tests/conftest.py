@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from metavit.blocks import ParamStore
+from metavit.checkpoint import load_tensors, save_tensors
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,6 +62,24 @@ def zero_block_params(store: ParamStore) -> None:
     """Zero every parameter of a block so residual paths become identities."""
     for p in store.params.values():
         p.data = np.zeros_like(p.data)
+
+
+# Forged configs of a saved ``tiny-narrow`` checkpoint, each entry as
+# (config record, entries scaled by FORGE_FACTOR, first tensor the forged
+# config disagrees with).
+FORGE_FACTOR = 4
+FORGERIES = [
+    ("config/dims", slice(None), "stem.conv1.w"),
+    ("config/blocks", slice(None), "s0.b1.attn.wq"),
+    ("config/scalars", 3, "s0.b0.ffn.w1"),  # the FFN expansion
+]
+
+
+def forge_config(path: str, key: str, entries) -> None:
+    """Scale entries of one ``config/*`` record of a checkpoint by FORGE_FACTOR."""
+    table = load_tensors(path)
+    table[key][entries] *= FORGE_FACTOR
+    save_tensors(path, table)
 
 
 @pytest.fixture

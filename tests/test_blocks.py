@@ -14,6 +14,7 @@ from metavit.blocks import (
     ParamStore,
     SABlock,
     TokenGrid,
+    trunc_normal,
 )
 from metavit.errors import ConfigError, ContractError, InputError
 from metavit.tensor import Tensor
@@ -31,6 +32,31 @@ def make_grid(rng, side=4, dim=DIM, dtype=np.float32):
 def make_meta(rng, m=4, dim=DIM, dtype=np.float32):
     data = rng.standard_normal((m, dim)).astype(dtype)
     return Tensor(data), data
+
+
+def trunc_normal_full_rescan(rng, shape, std):
+    """The original sampler: after each redraw, re-check every entry."""
+    out = rng.normal(0.0, std, size=shape)
+    bound = 2.0 * std
+    bad = np.abs(out) > bound
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > bound
+    return out
+
+
+class TestTruncNormal:
+    @pytest.mark.parametrize("shape", [(), (7,), (0, 5), (64, 3, 3, 3), (320, 1280)])
+    @pytest.mark.parametrize("std", [0.02, 1.0, 3e-4])
+    def test_bit_identical_to_full_rescan(self, shape, std):
+        for seed in (0, 1, 7):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = trunc_normal(rng, shape, std)
+            want = trunc_normal_full_rescan(oracle_rng, shape, std)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert not (np.abs(got) > 2 * std).any()
 
 
 class TestStems:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import FORGERIES, forge_config
 from metavit import cli, fileio
 from metavit.checkpoint import save_checkpoint
 from metavit.cli import load_config, main
@@ -82,6 +83,15 @@ class TestExitCodes:
         save_checkpoint(model, str(path))
         assert main(["infer", "--checkpoint", str(path), "--image", image_file]) == 2
         assert "NaN or infinite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,entries,first", FORGERIES)
+    def test_forged_config_is_one_line_data_error(self, capsys, ckpt_file, image_file,
+                                                  key, entries, first):
+        forge_config(ckpt_file, key, entries)
+        assert main(["infer", "--checkpoint", ckpt_file, "--image", image_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(first) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["infer", "attmap"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -2,20 +2,28 @@
 
 Each case starts from a valid file, overwrites a few bytes and may cut the
 file short. Any other exception, or a hang or allocation sized by a forged
-header, is a reader bug. Examples are derandomized so the suite stays
-deterministic.
+header, is a reader bug. ``load_checkpoint`` gets its damage in the values
+of the ``config/*`` records of a small model's checkpoint, uncut, so that a
+forged config, not only a weight payload, meets model construction.
+Examples are derandomized so the suite stays deterministic.
 """
 
 import io
+import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metavit.checkpoint import load_tensors, write_record
+from metavit.checkpoint import load_checkpoint, load_tensors, save_checkpoint, write_record
 from metavit.errors import FormatError
 from metavit.fileio import read_pgm16, read_ppm, read_tensor_file
+from metavit.model import Model, VariantSpec
+
+SMALL = VariantSpec("custom", (1, 1, 1, 1, 1), (8, 8, 8, 8), meta_len=2, meta_dim0=4,
+                    head_dim=8, expansion=1, num_classes=2)
 
 
 def _lmvt() -> bytes:
@@ -42,11 +50,29 @@ VALID = {
 
 
 @st.composite
-def damaged(draw, original: bytes) -> bytes:
+def damaged(draw, original: bytes, positions=None, cut: bool = True) -> bytes:
+    """Up to 4 bytes overwritten (at ``positions``, anywhere by default), maybe cut short."""
     data = bytearray(original)
+    pick = st.integers(0, len(data) - 1) if positions is None else st.sampled_from(positions)
     for _ in range(draw(st.integers(0, 4))):
-        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        data[draw(pick)] = draw(st.integers(0, 255))
+    if not cut:
+        return bytes(data)
     return bytes(data[: draw(st.sampled_from([len(data), draw(st.integers(0, len(data)))]))])
+
+
+def config_payload_offsets(data: bytes) -> list[int]:
+    """Byte offsets of the values of the ``config/*`` records that open a checkpoint."""
+    at, offsets = 12, []
+    while True:
+        (name_len,) = struct.unpack_from("<H", data, at)
+        if not data[at + 2:at + 2 + name_len].startswith(b"config/"):
+            return offsets
+        ndim = data[at + 3 + name_len]
+        dims = struct.unpack_from(f"<{ndim}I", data, at + 4 + name_len)
+        start = at + 4 + name_len + 4 * ndim
+        at = start + 4 * math.prod(dims)
+        offsets += range(start, at)
 
 
 @pytest.mark.parametrize("kind", sorted(VALID))
@@ -67,5 +93,34 @@ def test_damaged_file_raises_only_format_error(kind, data, tmp_path):
     path.write_bytes(data.draw(damaged(original)))
     try:
         reader(str(path))
+    except FormatError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory) -> tuple[bytes, list[int]]:
+    """A valid checkpoint of SMALL and the offsets of its config values."""
+    path = tmp_path_factory.mktemp("ckpt") / "small.lmvt"
+    save_checkpoint(Model(SMALL, seed=0), str(path))
+    data = path.read_bytes()
+    return data, config_payload_offsets(data)
+
+
+def test_valid_checkpoint_loads(small_checkpoint, tmp_path):
+    path = tmp_path / "valid.lmvt"
+    path.write_bytes(small_checkpoint[0])
+    assert load_checkpoint(str(path)).spec == SMALL
+    assert len(small_checkpoint[1]) == 4 * (5 + 4 + 6 + 4)  # blocks, dims, scalars, toggles
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_checkpoint_config_raises_only_format_error(small_checkpoint, data, tmp_path):
+    original, config_values = small_checkpoint
+    path = tmp_path / "damaged.lmvt"
+    path.write_bytes(data.draw(damaged(original, config_values, cut=False)))
+    try:
+        load_checkpoint(str(path))
     except FormatError:
         pass

@@ -1,16 +1,20 @@
+import hashlib
+import re
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from metavit import complexity
+from conftest import FORGERIES, forge_config
+from metavit import blocks, checkpoint, complexity
 from metavit import tensor as T
 from metavit.checkpoint import load_checkpoint, load_tensors, save_checkpoint, save_tensors
 from metavit.errors import ConfigError, ContractError, FormatError, InputError
-from metavit.model import build_variant, export_attention_maps, variant
+from metavit.model import build_variant, export_attention_maps, variant, variant_names
 from metavit.tensor import Tensor
 
 
@@ -51,6 +55,24 @@ class TestRegistry:
     def test_zero_head_dim_rejected(self):
         with pytest.raises(ConfigError):
             variant("tiny", head_dim=0)
+
+    # sha256 over each seed-0 parameter's name, shape and float32 bytes, in
+    # registration order; any change to initialization or naming moves it
+    SEED0_DIGESTS = {
+        "tiny": "b30149b9d4dded2876c625742e968d6b02626b71955131cbb60cb53b78db7bcc",
+        "small": "d7f18fb1949b15e459634a43b8d97cc5cbd670fede03fd861480097f46751214",
+        "base": "07f73e2a416422eb84a5a3e192365af58d2f7ac21b9d6ed7ea9966a0f4d5aa25",
+        "tiny-narrow": "fc4909c7afaf0ab65a0af1a5c3b9478edbc9a7a6b8dbb77386f8614db247a221",
+    }
+
+    @pytest.mark.parametrize("name", variant_names())
+    def test_seed0_parameters_pinned(self, name):
+        digest = hashlib.sha256()
+        for key, p in build_variant(name, 0).parameters().items():
+            digest.update(key.encode())
+            digest.update(str(p.shape).encode())
+            digest.update(p.data.tobytes())
+        assert digest.hexdigest() == self.SEED0_DIGESTS[name]
 
 
 class TestForward:
@@ -244,6 +266,61 @@ class TestCheckpoint:
         with T.no_grad():
             after = loaded.forward_classify(img).data
         assert np.array_equal(before, after)
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        path = tmp_path / "m.lmvt"
+        save_checkpoint(build_variant("tiny-narrow", 0), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ffbbfeef94d145bd5ae76a15233238279ec64009af1722d04eb892c7dd0463e2"
+        )
+
+    def test_load_draws_nothing_and_keeps_the_read_arrays(self, tmp_path, rng, monkeypatch):
+        model = toy_model(seed=3)
+        path = str(tmp_path / "m.lmvt")
+        save_checkpoint(model, path)
+        tables = []
+
+        def recording_load(p):
+            tables.append(load_tensors(p))
+            return tables[-1]
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("loading a checkpoint drew random weights")
+
+        monkeypatch.setattr(checkpoint, "load_tensors", recording_load)
+        monkeypatch.setattr(blocks, "trunc_normal", no_draw)
+        loaded = load_checkpoint(path)
+        assert list(loaded.parameters()) == list(model.parameters())
+        for name, p in loaded.parameters().items():
+            assert p.data is tables[0][name], name
+            assert np.array_equal(p.data, model.parameters()[name].data), name
+        img = toy_image(rng)
+        with T.no_grad():
+            assert np.array_equal(loaded.forward_classify(img).data,
+                                  model.forward_classify(img).data)
+
+    @pytest.mark.parametrize("key,entries,first", FORGERIES)
+    def test_forged_config_rejected_before_allocating(self, tmp_path, key, entries, first):
+        path = tmp_path / "m.lmvt"
+        save_checkpoint(toy_model(), str(path))
+        forge_config(str(path), key, entries)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=re.escape(repr(first))):
+                load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * path.stat().st_size
+
+    def test_unexpected_tensor_rejected(self, tmp_path):
+        path = str(tmp_path / "m.lmvt")
+        save_checkpoint(toy_model(), path)
+        table = load_tensors(path)
+        table["stray.w"] = np.zeros(2, dtype=np.float32)
+        save_tensors(path, table)
+        with pytest.raises(FormatError, match="unexpected tensors \\['stray.w'\\]"):
+            load_checkpoint(path)
 
     def test_magic_header(self, tmp_path):
         path = str(tmp_path / "m.lmvt")
