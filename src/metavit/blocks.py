@@ -2,9 +2,11 @@
 
 The three attention blocks are one pre-norm block over two streams, an
 image-token grid ("img") and a short meta-token stream ("meta"), driven
-by a per-kind route in ``ROUTES``. A route lists the attention branches
-as (updated stream <- key/value stream), says whether conditional
-positional encoding (CPE) runs on the grid first, and picks the scaling:
+by the ``route`` of each kind's class; ``BLOCKS`` maps a kind to its
+class, so ``BLOCKS[kind].route`` is that kind's route. A route lists the
+attention branches as (updated stream <- key/value stream), says whether
+conditional positional encoding (CPE) runs on the grid first, and picks
+the scaling:
 
 * ``ca`` cross-attention: meta <- img; image tokens pass through untouched.
 * ``dca`` dual cross-attention: img <- meta and meta <- img, after CPE.
@@ -248,17 +250,15 @@ class Route:
         return tuple(dict.fromkeys(self.updated + tuple(src for _, src in self.branches)))
 
 
-ROUTES = {
-    "ca": Route((("meta", "img"),), Scaling.ENTROPY_INVARIANT, cpe=False),
-    "dca": Route((("img", "meta"), ("meta", "img")), Scaling.ENTROPY_INVARIANT, cpe=True),
-    "sa": Route((("img", "img"), ("meta", "meta")), Scaling.STANDARD, cpe=True),
-}
-
-
 class _TwoStreamBlock:
-    """Pre-norm two-stream block that runs the route of its ``kind``."""
+    """Pre-norm two-stream block that runs the ``route`` of its class.
 
-    kind: str
+    Every kind takes the same arguments and ignores those its route has
+    no use for: CA has no CPE, and ``sequential`` changes only DCA, the
+    one route whose later branch reads a stream the block updates first.
+    """
+
+    route: Route
 
     def __init__(
         self,
@@ -271,7 +271,7 @@ class _TwoStreamBlock:
         use_cpe: bool = True,
         cpe_kernel: int = 3,
     ):
-        route = self.route = ROUTES[self.kind]
+        route = self.route
         self.sequential = sequential
         self.cfg = AttentionConfig(dim, head_dim, route.scaling)
         self.cpe = Cpe(store, f"{name}.cpe", dim, cpe_kernel) if route.cpe and use_cpe else None
@@ -330,11 +330,7 @@ class _TwoStreamBlock:
 class CABlock(_TwoStreamBlock):
     """Cross-attention block: meta <- image; the image grid passes through."""
 
-    kind = "ca"
-
-    def __init__(self, store: ParamStore, name: str, dim: int, head_dim: int, expansion: int):
-        super().__init__(store, name, dim, head_dim, expansion)
-
+    route = Route((("meta", "img"),), Scaling.ENTROPY_INVARIANT, cpe=False)
     __call__ = _TwoStreamBlock._run
 
 
@@ -346,27 +342,15 @@ class DCABlock(_TwoStreamBlock):
     re-normed, already updated image tokens.
     """
 
-    kind = "dca"
+    route = Route((("img", "meta"), ("meta", "img")), Scaling.ENTROPY_INVARIANT, cpe=True)
     __call__ = _TwoStreamBlock._run
 
 
 class SABlock(_TwoStreamBlock):
     """Standard attention block: each stream attends to itself after CPE."""
 
-    kind = "sa"
-
-    def __init__(
-        self,
-        store: ParamStore,
-        name: str,
-        dim: int,
-        head_dim: int,
-        expansion: int,
-        use_cpe: bool = True,
-        cpe_kernel: int = 3,
-    ):
-        super().__init__(
-            store, name, dim, head_dim, expansion, use_cpe=use_cpe, cpe_kernel=cpe_kernel
-        )
-
+    route = Route((("img", "img"), ("meta", "meta")), Scaling.STANDARD, cpe=True)
     __call__ = _TwoStreamBlock._run
+
+
+BLOCKS = {"ca": CABlock, "dca": DCABlock, "sa": SABlock}

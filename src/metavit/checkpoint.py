@@ -146,14 +146,24 @@ def _config_tensors(spec: VariantSpec) -> dict[str, np.ndarray]:
     }
 
 
+def _config_ints(cfg: dict[str, np.ndarray], key: str, toggles: bool = False) -> list[int]:
+    """The values of record ``config/<key>``: integers, or 0 and 1 for ``toggles``."""
+    name = _CONFIG_PREFIX + key
+    if name not in cfg:
+        raise FormatError(f"checkpoint is missing {name!r}")
+    values = cfg[name].reshape(-1)
+    ok = np.isin(values, (0, 1)) if toggles else values == np.floor(values)
+    if not ok.all():
+        expected = "0 or 1" if toggles else "an integer"
+        raise FormatError(f"{name!r} holds {float(values[~ok][0])!r}, expected {expected}")
+    return [int(x) for x in values]
+
+
 def _spec_from_config(cfg: dict[str, np.ndarray]) -> VariantSpec:
-    try:
-        blocks = tuple(int(x) for x in cfg[_CONFIG_PREFIX + "blocks"])
-        dims = tuple(int(x) for x in cfg[_CONFIG_PREFIX + "dims"])
-        scalars = [int(x) for x in cfg[_CONFIG_PREFIX + "scalars"]]
-        toggles = [bool(x) for x in cfg[_CONFIG_PREFIX + "toggles"]]
-    except KeyError as missing:
-        raise FormatError(f"checkpoint is missing {missing.args[0]!r}") from None
+    blocks = tuple(_config_ints(cfg, "blocks"))
+    dims = tuple(_config_ints(cfg, "dims"))
+    scalars = _config_ints(cfg, "scalars")
+    toggles = [bool(x) for x in _config_ints(cfg, "toggles", toggles=True)]
     if len(scalars) != 6 or len(toggles) != 4:
         raise FormatError(
             f"checkpoint config needs 6 scalars and 4 toggles, got "

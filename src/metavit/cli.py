@@ -160,10 +160,6 @@ def _spec_from(settings) -> VariantSpec:
     return variant(settings["variant"], **overrides)
 
 
-def _print_seed(settings) -> None:
-    print(f"seed: {settings['seed']}")
-
-
 def _load_image(path: str) -> Tensor:
     if path is None:
         raise UsageError("an --image path is required")
@@ -177,7 +173,6 @@ def _load_image(path: str) -> Tensor:
 
 
 def cmd_analyze(settings) -> int:
-    _print_seed(settings)
     spec = _spec_from(settings)
     report = complexity.count_model(spec, settings["input"], strict_dual=settings["strict_dual"])
     text = complexity.emit_report(report, settings["format"])
@@ -192,7 +187,6 @@ def _bench_rows_out(results) -> None:
 
 
 def cmd_bench(settings) -> int:
-    _print_seed(settings)
     mode = settings["mode"]
     if mode not in ("pair", "model", "both"):
         raise UsageError(f"bench mode must be pair, model, or both, got {mode!r}")
@@ -224,7 +218,6 @@ def cmd_bench(settings) -> int:
 
 
 def cmd_gradcheck(settings) -> int:
-    _print_seed(settings)
     cases = gradcheck.run_suite(seed=settings["seed"])
     worst = 0.0
     for case in cases:
@@ -236,7 +229,6 @@ def cmd_gradcheck(settings) -> int:
 
 
 def cmd_train(settings) -> int:
-    _print_seed(settings)
     spec = variant(settings["variant"], num_classes=3)
     model = Model(spec, seed=settings["seed"])
     ds = trainer.make_synth(settings["samples"], settings["noise_sigma"], settings["seed"])
@@ -261,7 +253,6 @@ def cmd_train(settings) -> int:
 
 
 def cmd_infer(settings) -> int:
-    _print_seed(settings)
     if not settings["checkpoint"]:
         raise UsageError("infer requires --checkpoint")
     model = ckpt.load_checkpoint(settings["checkpoint"])
@@ -275,7 +266,6 @@ def cmd_infer(settings) -> int:
 
 
 def cmd_attmap(settings) -> int:
-    _print_seed(settings)
     if settings["checkpoint"]:
         model = ckpt.load_checkpoint(settings["checkpoint"])
     else:
@@ -315,6 +305,7 @@ def main(argv=None) -> int:
             raise UsageError("a subcommand is required (analyze, bench, gradcheck, "
                              "train, infer, attmap)")
         settings = _settings(args)
+        print(f"seed: {settings['seed']}")
         return _COMMANDS[args.command](settings)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

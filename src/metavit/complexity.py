@@ -27,8 +27,9 @@ Three quantities are reported per layer and never mixed:
 
 ``count_model`` walks the stage layout of ``model.group_layout`` and
 reads each block's parameters, ``macs`` and ``attn_macs`` off the route
-in ``blocks.ROUTES`` that the built block runs, so its totals equal the
-built model's parameter count and an instrumented forward exactly.
+``blocks.BLOCKS[kind].route`` that the built block runs, so its totals
+equal the built model's parameter count and an instrumented forward
+exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .blocks import ROUTES, Route
+from .blocks import BLOCKS, Route
 from .errors import ConfigError, UsageError
 from .model import VariantSpec, group_layout
 
@@ -177,7 +178,7 @@ def count_model(
     for gi, g in enumerate(layout):
         n = grid(g.stride)
         for bi in range(g.count):
-            params, macs, attn_macs = block_cost(ROUTES[g.kind], n, m, g.dim, e, k)
+            params, macs, attn_macs = block_cost(BLOCKS[g.kind].route, n, m, g.dim, e, k)
             report.entries.append(
                 ComplexityEntry(
                     f"s{gi}.b{bi}", g.kind, n, m, g.dim, e,

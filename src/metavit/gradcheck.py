@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionConfig, MhaParams, Scaling, multi_head_attention
-from .blocks import CABlock, DCABlock, ParamStore, SABlock, TokenGrid
+from .blocks import BLOCKS, ParamStore, TokenGrid
 from .model import Model, variant
 from .tensor import Tensor
 
@@ -201,12 +201,7 @@ def _block_case(kind: str, seed: int, sequential: bool = False) -> CheckCase:
     dim, head_dim, expansion = 8, 4, 2
     n_side, m = 4, 4  # 16 image tokens, 4 meta tokens
     store = ParamStore(seed, dtype=np.float64)
-    if kind == "ca":
-        block = CABlock(store, "blk", dim, head_dim, expansion)
-    elif kind == "dca":
-        block = DCABlock(store, "blk", dim, head_dim, expansion, sequential=sequential)
-    else:
-        block = SABlock(store, "blk", dim, head_dim, expansion)
+    block = BLOCKS[kind](store, "blk", dim, head_dim, expansion, sequential=sequential)
     # keep weights O(1) so gradient scales are meaningful for the check
     for name, p in store.params.items():
         if p.data.ndim >= 2:

@@ -22,17 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .blocks import (
-    CABlock,
-    DCABlock,
-    Downsample,
-    ImageStem,
-    LayerNormParams,
-    MetaStem,
-    ParamStore,
-    SABlock,
-    TokenGrid,
-)
+from .blocks import BLOCKS, Downsample, ImageStem, LayerNormParams, MetaStem, ParamStore, TokenGrid
 from .errors import ConfigError, ContractError, InputError
 from .tensor import Tensor
 
@@ -123,16 +113,6 @@ def group_layout(spec: VariantSpec) -> list[Group]:
     ]
 
 
-def _make_block(kind: str, store: ParamStore, name: str, dim: int, spec: VariantSpec):
-    if kind == "ca":
-        return CABlock(store, name, dim, spec.head_dim, spec.expansion)
-    if kind == "dca":
-        return DCABlock(store, name, dim, spec.head_dim, spec.expansion,
-                        sequential=spec.dca_sequential, cpe_kernel=spec.cpe_kernel)
-    return SABlock(store, name, dim, spec.head_dim, spec.expansion,
-                   cpe_kernel=spec.cpe_kernel)
-
-
 class Model:
     """A built network: parameter store plus the stage pipeline.
 
@@ -158,7 +138,9 @@ class Model:
 
         self.layout = group_layout(spec)
         self.groups = [
-            [_make_block(g.kind, store, f"s{gi}.b{bi}", g.dim, spec) for bi in range(g.count)]
+            [BLOCKS[g.kind](store, f"s{gi}.b{bi}", g.dim, spec.head_dim, spec.expansion,
+                            sequential=spec.dca_sequential, cpe_kernel=spec.cpe_kernel)
+             for bi in range(g.count)]
             for gi, g in enumerate(self.layout)
         ]
         self.downsamples = [

@@ -130,13 +130,11 @@ def _recording(parents) -> bool:
 
 def _node(data: np.ndarray, parents, vjp, op: str) -> Tensor:
     out = Tensor(data)
+    out.op = op
     if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
-        out.op = op
-    else:
-        out.op = op
     return out
 
 

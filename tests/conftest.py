@@ -82,6 +82,24 @@ def forge_config(path: str, key: str, entries) -> None:
     save_tensors(path, table)
 
 
+# ``config/*`` values of a saved ``tiny-narrow`` checkpoint that are not
+# the integers (or, for toggles, the 0 and 1) a config holds, as (config
+# record, entry, value). Truncated, the first three would still load.
+BAD_CONFIG_VALUES = [
+    ("config/dims", 0, 32.75),
+    ("config/scalars", 2, 16.9),  # head_dim: 1 head of 32 would run as 2 of 16
+    ("config/toggles", 0, 0.5),
+    ("config/toggles", 1, 2.0),
+]
+
+
+def set_config(path: str, key: str, entry: int, value: float) -> None:
+    """Overwrite one entry of a ``config/*`` record of a checkpoint."""
+    table = load_tensors(path)
+    table[key][entry] = value
+    save_tensors(path, table)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

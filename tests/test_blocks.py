@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from conftest import naive_conv2d, zero_block_params
 from metavit import tensor as T
 from metavit.blocks import (
+    BLOCKS,
     CABlock,
     Cpe,
     DCABlock,
@@ -174,6 +175,25 @@ def _build(kind, seed=0, dtype=np.float32, **kw):
     else:
         block = SABlock(store, "blk", DIM, HEAD, EXP, **kw)
     return block, store
+
+
+class TestSharedConstructor:
+    @pytest.mark.parametrize("kind,ignored", [
+        ("ca", {"sequential": True, "use_cpe": False}),
+        ("sa", {"sequential": True}),
+    ])
+    def test_ignored_arguments_change_nothing(self, rng, kind, ignored):
+        default_store, given_store = ParamStore(5), ParamStore(5)
+        default = BLOCKS[kind](default_store, "blk", DIM, HEAD, EXP)
+        given = BLOCKS[kind](given_store, "blk", DIM, HEAD, EXP, **ignored)
+        assert list(given_store.params) == list(default_store.params)
+        for name, p in default_store.params.items():
+            assert np.array_equal(given_store.params[name].data, p.data), name
+        grid, _ = make_grid(rng)
+        meta, _ = make_meta(rng)
+        for a, b in zip(default(grid, meta), given(grid, meta)):
+            a, b = (a.tokens, b.tokens) if isinstance(a, TokenGrid) else (a, b)
+            assert np.array_equal(a.data, b.data)
 
 
 class TestCABlock:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import FORGERIES, forge_config
+from conftest import BAD_CONFIG_VALUES, FORGERIES, forge_config, set_config
 from metavit import cli, fileio
 from metavit.checkpoint import save_checkpoint
 from metavit.cli import load_config, main
@@ -92,6 +92,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(first) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,entry,value", BAD_CONFIG_VALUES)
+    def test_non_integer_config_is_one_line_data_error(self, capsys, ckpt_file, image_file,
+                                                       key, entry, value):
+        set_config(ckpt_file, key, entry, value)
+        assert main(["infer", "--checkpoint", ckpt_file, "--image", image_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["infer", "attmap"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metavit import complexity
 from metavit import tensor as T
-from metavit.blocks import CABlock, DCABlock, ParamStore, SABlock, TokenGrid
+from metavit.blocks import BLOCKS, CABlock, DCABlock, ParamStore, SABlock, TokenGrid
 from metavit.complexity import (
     ComplexityReport,
     block_cost,
@@ -16,7 +17,7 @@ from metavit.complexity import (
     emit_report,
 )
 from metavit.errors import ConfigError, UsageError
-from metavit.model import build_variant, variant
+from metavit.model import GROUPS, build_variant, variant
 from metavit.tensor import MacCounter, Tensor
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,6 +96,22 @@ class TestCountModel:
                           {"use_meta_pooling": False}):
             spec = variant("tiny-narrow", num_classes=3, **overrides)
             assert count_model(spec, 64).total_params == build_variant(spec, 0).param_count()
+
+    def test_block_kinds_agree(self):
+        assert set(BLOCKS) == {kind for kind, _ in GROUPS} == set(complexity._FORMULAS)
+
+    def test_block_cost_reads_each_kind_route(self, monkeypatch):
+        routes = []
+
+        def recording_cost(route, *args):
+            routes.append(route)
+            return block_cost(route, *args)
+
+        monkeypatch.setattr(complexity, "block_cost", recording_cost)
+        report = count_model(variant("tiny"), 224)
+        kinds = [entry.kind for entry in report.entries if entry.kind in BLOCKS]
+        assert len(routes) == len(kinds) == sum(variant("tiny").blocks)
+        assert all(route is BLOCKS[kind].route for route, kind in zip(routes, kinds))
 
     def test_totals_are_entry_sums_and_order_invariant(self):
         rep = count_model(variant("tiny"), 224)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import FORGERIES, forge_config
+from conftest import BAD_CONFIG_VALUES, FORGERIES, forge_config, set_config
 from metavit import blocks, checkpoint, complexity
 from metavit import tensor as T
 from metavit.checkpoint import load_checkpoint, load_tensors, save_checkpoint, save_tensors
@@ -312,6 +312,23 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * path.stat().st_size
+
+    @pytest.mark.parametrize("key,entry,value", BAD_CONFIG_VALUES)
+    def test_non_integer_config_value_rejected(self, tmp_path, key, entry, value):
+        path = str(tmp_path / "m.lmvt")
+        save_checkpoint(toy_model(), path)
+        set_config(path, key, entry, value)
+        stored = float(np.float32(value))
+        with pytest.raises(FormatError, match=re.escape(f"{key!r} holds {stored!r}")):
+            load_checkpoint(path)
+
+    def test_config_record_read_as_flat_values(self, tmp_path):
+        path = str(tmp_path / "m.lmvt")
+        save_checkpoint(toy_model(), path)
+        table = load_tensors(path)
+        table["config/blocks"] = table["config/blocks"].reshape(1, -1)
+        save_tensors(path, table)
+        assert load_checkpoint(path).spec == toy_model().spec
 
     def test_unexpected_tensor_rejected(self, tmp_path):
         path = str(tmp_path / "m.lmvt")
