@@ -121,9 +121,11 @@ def _result(case: str, n: int, m: int, d: int, warmup: int, samples: list[float]
     )
 
 
-def _check_iters(iters: int) -> None:
+def _check_loop(iters: int, warmup: int) -> None:
     if iters < MIN_ITERS:
         raise UsageError(f"need at least {MIN_ITERS} measured iterations, got {iters}")
+    if warmup < 0:
+        raise UsageError(f"warmup iterations must be >= 0, got {warmup}")
 
 
 def bench_block_pair(
@@ -135,7 +137,9 @@ def bench_block_pair(
     Both blocks are freshly built from the same seed and fed the same random
     token grid. Speedup is sa.median_s / dca.median_s.
     """
-    _check_iters(iters)
+    _check_loop(iters, warmup)
+    if e < 1:
+        raise UsageError(f"feed-forward expansion must be >= 1, got {e}")
     side = int(round(n ** 0.5))
     if side * side != n:
         raise UsageError(f"n={n} must be a perfect square to form a token grid")
@@ -174,7 +178,7 @@ def bench_model(
     warmup: int = MIN_WARMUP, seed: int = 0,
 ) -> BenchResult:
     """Images per second over the full classification forward pass."""
-    _check_iters(iters)
+    _check_loop(iters, warmup)
     if isinstance(input_hw, int):
         input_hw = (input_hw, input_hw)
     model = Model(spec, seed)

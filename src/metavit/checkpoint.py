@@ -196,9 +196,16 @@ def _spec_from_config(cfg: dict[str, np.ndarray]) -> VariantSpec:
 
 
 def save_checkpoint(model: Model, path: str) -> None:
+    """Write ``model`` and its config; a weight that is NaN or infinite as
+    float32 is refused before the file is opened."""
     tensors = _config_tensors(model.spec)
-    for name, p in model.parameters().items():
-        tensors[name] = p.data
+    with np.errstate(over="ignore"):  # a float64 weight past float32's range becomes inf
+        for name, p in model.parameters().items():
+            arr = np.asarray(p.data, dtype=np.float32)
+            if not np.isfinite(arr).all():
+                raise FormatError(f"parameter {name!r} holds NaN or infinite values; "
+                                  f"{path} not written")
+            tensors[name] = arr
     save_tensors(path, tensors)
 
 

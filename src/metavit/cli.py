@@ -229,14 +229,13 @@ def cmd_gradcheck(settings) -> int:
 
 
 def cmd_train(settings) -> int:
-    spec = variant(settings["variant"], num_classes=3)
-    model = Model(spec, seed=settings["seed"])
-    ds = trainer.make_synth(settings["samples"], settings["noise_sigma"], settings["seed"])
     cfg = trainer.TrainConfig(
         steps=settings["steps"], batch_size=settings["batch_size"], lr=settings["lr"],
         optimizer=settings["optimizer"], weight_decay=settings["weight_decay"],
         seed=settings["seed"], label_smoothing=settings["label_smoothing"],
     )
+    ds = trainer.make_synth(settings["samples"], settings["noise_sigma"], settings["seed"])
+    model = Model(variant(settings["variant"], num_classes=3), seed=settings["seed"])
     history = trainer.train_toy(model, ds, cfg)
     accuracy = trainer.evaluate(model, ds)
     os.makedirs(settings["out_dir"], exist_ok=True)

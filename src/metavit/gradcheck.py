@@ -159,22 +159,27 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
 
     # batch 2, 4 keys, 7 query rows: a 24-logit tile budget gives tiles of 3, 3 and 1 rows
     qa, ka, va = leaf(2, 7, 3), leaf(2, 4, 3), leaf(2, 4, 5)
+    cases.append(CheckCase(
+        "attention-tiled",
+        fd_check(lambda: _weighted_sum(T.attention(qa, ka, va, 0.6, tile_elements=2 * 4 * 3)),
+                 [qa, ka, va]),
+    ))
     # 2 heads in the merged layout: a 32-logit budget gives tiles of 2, 2 and 1 rows
     qh, kh, vh = leaf(2, 5, 6), leaf(2, 4, 6), leaf(2, 4, 4)
-    budget = T._TILE_ELEMENTS
-    try:
-        T._TILE_ELEMENTS = 2 * 4 * 3
-        cases.append(CheckCase(
-            "attention-tiled",
-            fd_check(lambda: _weighted_sum(T.attention(qa, ka, va, 0.6)), [qa, ka, va]),
-        ))
-        T._TILE_ELEMENTS = 2 * 2 * 4 * 2
-        cases.append(CheckCase(
-            "attention-heads",
-            fd_check(lambda: _weighted_sum(T.attention(qh, kh, vh, 0.6, heads=2)), [qh, kh, vh]),
-        ))
-    finally:
-        T._TILE_ELEMENTS = budget
+    cases.append(CheckCase(
+        "attention-heads",
+        fd_check(lambda: _weighted_sum(T.attention(qh, kh, vh, 0.6, heads=2,
+                                                   tile_elements=2 * 2 * 4 * 2)), [qh, kh, vh]),
+    ))
+    # logits near 900, past exp's float64 range, so the row max is subtracted;
+    # the keys share their first coordinate, so each row's logits differ by O(1)
+    qu, ku, vu = leaf(2, 5, 4), leaf(2, 4, 4), leaf(2, 4, 3)
+    qu.data[..., 0] += 30.0
+    ku.data[..., 0] = 30.0
+    cases.append(CheckCase(
+        "attention-unbounded",
+        fd_check(lambda: _weighted_sum(T.attention(qu, ku, vu, 1.0)), [qu, ku, vu]),
+    ))
     return cases
 
 

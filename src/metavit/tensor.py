@@ -383,18 +383,27 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _node(out.reshape(x.shape[:-1] + (n,)), parents, vjp, "linear")
 
 
+def _exp_numerators(x: np.ndarray) -> np.ndarray:
+    """Overwrite ``x`` with exp(x) and return the (..., 1) reciprocal sums
+    over its last axis that normalize it.
+
+    The row sums are one GEMV against a ones vector, about twice as fast as
+    ``ndarray.sum`` over the last axis.
+    """
+    np.exp(x, out=x)
+    return 1.0 / (x @ np.ones(x.shape[-1], dtype=x.dtype))[..., None]
+
+
 def _softmax_numerators(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Overwrite ``x`` with exp((x - rowmax) * scale) over its last axis (scale > 0)
-    and return the (..., 1) reciprocal row sums that normalize it.
+    and return the reciprocal row sums of ``_exp_numerators``.
 
     The row max is subtracted before scaling, which is the same shift since
-    scale is positive. The row sums are one GEMV against a ones vector, about
-    twice as fast as ``ndarray.sum`` over the last axis.
+    scale is positive.
     """
     x -= x.max(axis=-1, keepdims=True)
     x *= scale
-    np.exp(x, out=x)
-    return 1.0 / (x @ np.ones(x.shape[-1], dtype=x.dtype))[..., None]
+    return _exp_numerators(x)
 
 
 def _softmax_grad_inplace(p: np.ndarray, d: np.ndarray) -> None:
@@ -421,8 +430,28 @@ def softmax_rows(x: Tensor) -> Tensor:
 _TILE_ELEMENTS = 1 << 20
 
 
+def _logits_bounded(qh: np.ndarray, kh: np.ndarray, v: np.ndarray, scale: float) -> bool:
+    """Whether exp may take the (..., H, N1, N2) logits of ``qh`` and ``kh``
+    times ``scale`` without the row max subtracted.
+
+    By Cauchy-Schwarz every logit lies in [-b, b], with b the scale times
+    the largest product of a query and a key row norm of one head. If
+    n2 * exp(b) * max(1, max|v|) <= finfo.max, no exp, row sum or entry of
+    ``exp(logits) @ v`` overflows; if exp(-b) >= finfo.tiny, every term is a
+    normal number, so no row sum underflows. A NaN or Inf anywhere makes b
+    or the limit NaN or infinite, and the comparison False.
+    """
+    def sq_norm_max(a):  # per head; C order makes the max a contiguous pass
+        return np.einsum("...ij,...ij->...i", a, a, order="C").max(axis=-1, initial=0.0)
+
+    b = scale * math.sqrt((sq_norm_max(qh) * sq_norm_max(kh)).max(initial=0.0))
+    info = np.finfo(qh.dtype)
+    reach = math.log(kh.shape[-2] * float(np.abs(v).max(initial=1.0)))
+    return b <= math.log(info.max) - reach and b <= -math.log(info.tiny)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
-              return_attn: bool = False):
+              return_attn: bool = False, tile_elements: int = _TILE_ELEMENTS):
     """softmax(q k^T * scale) v per head over the last two axes, as one graph node.
 
     Shapes: q (..., N1, H*C), k (..., N2, H*C), v (..., N2, H*Cv), with equal
@@ -434,13 +463,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     v, and the tile's (rows, Cv) output rows are then scaled by the
     reciprocal row sums, which costs 1/Cv of normalizing the N2-wide rows;
     a kept tile is normalized after its output is written, so the output
-    does not depend on whether probabilities are kept. The only N1 x N2
-    array is the (..., H, N1, N2) probability array, kept when a gradient is
-    needed or ``return_attn`` asks for it. Otherwise one scratch tile of at
-    most ``_TILE_ELEMENTS`` values (one query row, if a row is larger) is
-    reused across tiles. Returns the output, or (output, probabilities as a
-    plain array) when ``return_attn`` is set. Backward writes only fresh
-    arrays, never the probabilities or the incoming gradient.
+    does not depend on whether probabilities are kept. When
+    ``_logits_bounded`` shows that exp cannot overflow or leave a row
+    without a normal term, the scale is folded into a copy of the shorter
+    of q and k and each tile's logits go straight to exp; otherwise each
+    row's max is subtracted first. The only N1 x N2 array is the
+    (..., H, N1, N2) probability array, kept when a gradient is needed or
+    ``return_attn`` asks for it. Otherwise one scratch tile of at most
+    ``tile_elements`` values (one query row, if a row is larger) is reused
+    across tiles. Returns the output, or (output, probabilities as a plain
+    array) when ``return_attn`` is set. Backward reads only the
+    probabilities and the unscaled operands, and writes only fresh arrays,
+    never the probabilities or the incoming gradient.
     """
     if scale <= 0:
         raise ConfigError(f"attention scale must be positive, got {scale}")
@@ -464,8 +498,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     lead, n1, n2 = qh.shape[:-2], qh.shape[-2], kh.shape[-2]
     batch = math.prod(lead)
     _count_macs(batch * n1 * n2 * (qh.shape[-1] + vh.shape[-1]))
-    rows = max(1, _TILE_ELEMENTS // (batch * n2))
-    kt = np.swapaxes(kh, -1, -2)
+    rows = max(1, tile_elements // (batch * n2))
+    qs, kt = qh, np.swapaxes(kh, -1, -2)
+    bounded = _logits_bounded(qh, kh, v.data, scale)
+    if bounded and n1 <= n2:
+        qs = qh * scale
+    elif bounded:
+        kt = kt * scale
     out = np.empty(q.shape[:-1] + (v.shape[-1],), dtype=q.dtype)
     outh = split(out)
     keep = return_attn or _recording((q, k, v))
@@ -474,8 +513,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     for r0 in range(0, n1, rows):
         r1 = min(r0 + rows, n1)
         tile = probs[..., r0:r1, :] if keep else scratch[..., : r1 - r0, :]
-        np.matmul(qh[..., r0:r1, :], kt, out=tile)
-        recip = _softmax_numerators(tile, scale)
+        np.matmul(qs[..., r0:r1, :], kt, out=tile)
+        recip = _exp_numerators(tile) if bounded else _softmax_numerators(tile, scale)
         rows_out = outh[..., r0:r1, :]
         np.matmul(tile, vh, out=rows_out)
         rows_out *= recip

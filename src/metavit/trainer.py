@@ -44,6 +44,8 @@ def make_synth(n: int, noise_sigma: float = 0.1, seed: int = 0) -> SynthDataset:
     """Deterministically generate n labeled pattern images."""
     if n < 3:
         raise ConfigError(f"need at least 3 samples for 3 classes, got {n}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     half = STRIPE_PERIOD // 2
     coords = np.arange(IMAGE_SIDE)
@@ -81,8 +83,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.label_smoothing < 1:
+            raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.optimizer not in ("adamw-lite", "sgd-momentum"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 

@@ -126,14 +126,9 @@ def _per_head_oracle(q, k, v, scale):
     return out
 
 
-@pytest.fixture
-def small_tiles(monkeypatch):
-    """Shrink the tile budget so a few query rows span several tiles."""
-
-    def shrink(batch, n2, rows):
-        monkeypatch.setattr(T, "_TILE_ELEMENTS", batch * n2 * rows)
-
-    return shrink
+def _budget(batch, n2, rows):
+    """A tile budget that gives ``rows`` query rows per tile, so a few rows span several tiles."""
+    return batch * n2 * rows
 
 
 def _composed(q, k, v, scale):
@@ -150,13 +145,14 @@ def _swap_heads(x: Tensor) -> Tensor:
     return T.permute(x, axes)
 
 
-def _split_attend_merge(q, k, v, scale, heads):
+def _split_attend_merge(q, k, v, scale, heads, tile_elements):
     """Per-head copies in, one-head attention, merged copy out: what ``heads`` replaces."""
 
     def split(x):
         return _swap_heads(T.reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads)))
 
-    out, probs = T.attention(split(q), split(k), split(v), scale, return_attn=True)
+    out, probs = T.attention(split(q), split(k), split(v), scale, return_attn=True,
+                             tile_elements=tile_elements)
     out = _swap_heads(out)
     return T.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],)), probs[..., 0, :, :]
 
@@ -164,24 +160,26 @@ def _split_attend_merge(q, k, v, scale, heads):
 class TestFusedAttentionOp:
     @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("n1,n2", [(7, 5), (1, 5), (7, 1), (9, 9)])
-    def test_matches_oracle_over_batch_and_heads(self, rng, small_tiles, dtype, atol, n1, n2):
+    def test_matches_oracle_over_batch_and_heads(self, rng, dtype, atol, n1, n2):
         q = rng.standard_normal((2, 3, n1, 4)).astype(dtype)
         k = rng.standard_normal((2, 3, n2, 4)).astype(dtype)
         v = rng.standard_normal((2, 3, n2, 6)).astype(dtype)
         want = _per_head_oracle(q, k, v, 2.0)
-        small_tiles(6, n2, 2)  # 2 query rows per tile: N1 = 7 or 9 leaves a partial tile
-        out, probs = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5, return_attn=True)
+        budget = _budget(6, n2, 2)  # 2 query rows per tile: N1 = 7 or 9 leaves a partial tile
+        out, probs = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5, return_attn=True,
+                                 tile_elements=budget)
         assert out.dtype == dtype and probs.shape == (2, 3, 1, n1, n2)  # one head
         assert_allclose(out.data, want, atol=atol)
         assert_allclose(probs.sum(axis=-1), np.ones((2, 3, 1, n1)), atol=atol)
-        plain = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5)  # scratch tiles
+        plain = T.attention(Tensor(q), Tensor(k), Tensor(v), 0.5, tile_elements=budget)  # scratch
         assert_allclose(plain.data, out.data, rtol=1e-6, atol=atol)
 
-    def test_output_independent_of_kept_probabilities(self, rng, small_tiles):
+    def test_output_independent_of_kept_probabilities(self, rng):
         q, k, v = (Tensor(rng.standard_normal((2, n, 6)).astype(np.float32)) for n in (7, 5, 5))
-        small_tiles(2 * 2, 5, 3)  # tiles of 3, 3 and 1 query rows
-        kept, _ = T.attention(q, k, v, 0.5, heads=2, return_attn=True)
-        assert np.array_equal(T.attention(q, k, v, 0.5, heads=2).data, kept.data)
+        budget = _budget(2 * 2, 5, 3)  # tiles of 3, 3 and 1 query rows
+        kept, _ = T.attention(q, k, v, 0.5, heads=2, return_attn=True, tile_elements=budget)
+        plain = T.attention(q, k, v, 0.5, heads=2, tile_elements=budget)
+        assert np.array_equal(plain.data, kept.data)
 
     def test_one_node_and_the_macs_of_two_products(self, rng):
         q, k, v = (Tensor(rng.standard_normal((2, n, 4)), requires_grad=True) for n in (5, 3, 3))
@@ -191,46 +189,44 @@ class TestFusedAttentionOp:
         assert len(Graph.trace(out)) == 4
         assert meter.total == 2 * 5 * 3 * (4 + 4)
 
-    def test_gradients_match_composed_ops(self, rng, small_tiles):
+    def test_gradients_match_composed_ops(self, rng):
         leaves = [rng.standard_normal((2, 2, n, 4)) for n in (7, 5, 5)]
         weight = Tensor(rng.standard_normal((2, 2, 7, 4)))
+        fused = lambda q, k, v, scale: T.attention(q, k, v, scale, tile_elements=_budget(4, 5, 3))
         grads = []
-        for fn in (_composed, T.attention):
-            if fn is T.attention:
-                small_tiles(4, 5, 3)
+        for fn in (_composed, fused):
             q, k, v = (Tensor(a, requires_grad=True) for a in leaves)
             T.backward(T.sum_all(T.mul(fn(q, k, v, 0.7), weight)))
             grads.append([t.grad for t in (q, k, v)])
         for fused, composed in zip(*grads[::-1]):
             assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
 
-    def test_incoming_gradient_is_not_written(self, rng, small_tiles):
+    def test_incoming_gradient_is_not_written(self, rng):
         # sum_all hands its read-only broadcast_to view straight to the op's VJP
         q, k, v = (Tensor(rng.standard_normal((2, n, 4)), requires_grad=True) for n in (6, 4, 4))
-        small_tiles(2, 4, 2)
-        T.backward(T.sum_all(T.attention(q, k, v, 0.5)))
+        T.backward(T.sum_all(T.attention(q, k, v, 0.5, tile_elements=_budget(2, 4, 2))))
         assert all(np.isfinite(t.grad).all() for t in (q, k, v))
 
-    def test_returned_maps_survive_backward(self, rng, small_tiles):
+    def test_returned_maps_survive_backward(self, rng):
         q, k, v = (Tensor(rng.standard_normal((3, n, 4)), requires_grad=True) for n in (5, 4, 4))
-        small_tiles(3, 4, 2)
-        out, probs = T.attention(q, k, v, 0.5, return_attn=True)
+        out, probs = T.attention(q, k, v, 0.5, return_attn=True, tile_elements=_budget(3, 4, 2))
         before = probs.copy()
         T.backward(T.sum_all(T.mul(out, Tensor(rng.standard_normal(out.shape)))))
         assert np.array_equal(probs, before)
 
     @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
-    def test_heads_match_split_attend_merge(self, rng, small_tiles, dtype, atol):
+    def test_heads_match_split_attend_merge(self, rng, dtype, atol):
         leaves = [rng.standard_normal((2, n, 3 * c)).astype(dtype) for n, c in ((7, 4), (5, 4), (5, 3))]
         weight = Tensor(rng.standard_normal((2, 7, 9)).astype(dtype))
-        small_tiles(2 * 3, 5, 2)  # 2 query rows per tile: tiles of 2, 2, 2 and 1 rows
+        budget = _budget(2 * 3, 5, 2)  # 2 query rows per tile: tiles of 2, 2, 2 and 1 rows
         runs = []
         for fused in (False, True):
             q, k, v = (Tensor(a, requires_grad=True) for a in leaves)
             if fused:
-                out, probs = T.attention(q, k, v, 0.7, heads=3, return_attn=True)
+                out, probs = T.attention(q, k, v, 0.7, heads=3, return_attn=True,
+                                         tile_elements=budget)
             else:
-                out, probs = _split_attend_merge(q, k, v, 0.7, 3)
+                out, probs = _split_attend_merge(q, k, v, 0.7, 3, budget)
             T.backward(T.sum_all(T.mul(out, weight)))
             runs.append((out.data, probs, [t.grad for t in (q, k, v)]))
         (want, want_probs, want_grads), (got, got_probs, got_grads) = runs
@@ -256,6 +252,134 @@ class TestFusedAttentionOp:
             T.attention(z(3, 4), z(3, 4), z(2, 4), 1.0)
         with pytest.raises(ConfigError):
             T.attention(z(3, 4), z(3, 4), z(3, 4), 0.0)
+
+
+HEADS, C, CV = 2, 3, 2  # merged operands (2, 7, 6), (2, 5, 6) and (2, 5, 4)
+PATH_CASES = [(dtype, keep) for dtype in (np.float32, np.float64) for keep in (True, False)]
+
+
+def _merged_oracle(q, k, v, scale):
+    """naive_attention in float64 per batch index and head of merged (..., N, H*C) operands."""
+
+    def split(a):
+        return np.swapaxes(a.reshape(a.shape[:-1] + (HEADS, -1)), -2, -3).astype(np.float64)
+
+    out = _per_head_oracle(split(q), split(k), split(v), 1 / scale)
+    return np.swapaxes(out, -2, -3).reshape(q.shape[:-1] + (v.shape[-1],))
+
+
+def _attend(q, k, v, scale, keep):
+    """Merged-head attention in tiles of 3, 3 and 1 query rows; kept or scratch tiles."""
+    budget = _budget(2 * HEADS, k.shape[-2], 3)
+    args = (Tensor(q), Tensor(k), Tensor(v), scale)
+    if keep:
+        out, probs = T.attention(*args, heads=HEADS, return_attn=True, tile_elements=budget)
+        sums = probs.sum(axis=-1)
+        assert_allclose(sums[np.isfinite(sums)], 1.0, rtol=1e-5)
+        return out.data
+    return T.attention(*args, heads=HEADS, tile_elements=budget).data
+
+
+def _raw_logits(q, k, scale):
+    """The unshifted (2, H, 7, 5) logits, in the operands' dtype."""
+    split = lambda a: np.swapaxes(a.reshape(a.shape[:-1] + (HEADS, -1)), -2, -3)
+    return split(q) @ np.swapaxes(split(k), -1, -2) * q.dtype.type(scale)
+
+
+@pytest.fixture
+def shift_calls(monkeypatch):
+    """Record each call of the max-shifted softmax, which still runs."""
+    calls = []
+    shifted = T._softmax_numerators
+
+    def spy(x, scale=1.0):
+        calls.append(x.shape)
+        return shifted(x, scale)
+
+    monkeypatch.setattr(T, "_softmax_numerators", spy)
+    return calls
+
+
+def _operands(rng, dtype):
+    q, k = (rng.standard_normal((2, n, HEADS * C)).astype(dtype) for n in (7, 5))
+    return q, k, rng.standard_normal((2, 5, HEADS * CV)).astype(dtype)
+
+
+class TestSoftmaxPaths:
+    """The unshifted exp when Cauchy-Schwarz bounds the logits, and the shifted fallback."""
+
+    @pytest.mark.parametrize("dtype,keep", PATH_CASES)
+    def test_bounded_logits_skip_the_row_max(self, rng, monkeypatch, dtype, keep):
+        def shifted(*args):
+            raise AssertionError("bounded logits took the max-shifted softmax")
+
+        monkeypatch.setattr(T, "_softmax_numerators", shifted)
+        q, k, v = _operands(rng, dtype)
+        out = _attend(q, k, v, 0.5, keep)
+        assert out.dtype == dtype
+        assert_allclose(out, _merged_oracle(q, k, v, 0.5), atol=1e-5 if dtype == np.float32 else 1e-12)
+
+    @pytest.mark.parametrize("dtype,keep", PATH_CASES)
+    def test_unbounded_logits_shift_by_the_row_max(self, rng, shift_calls, dtype, keep):
+        q, k, v = _operands(rng, dtype)
+        # every key shares a large first coordinate per head: the logits sit
+        # near 1.5 ln(finfo.max), while each row's logits differ by O(1)
+        big = math.sqrt(1.5 * math.log(np.finfo(dtype).max))
+        q[..., ::C] += big
+        k[..., ::C] = big
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(_raw_logits(q, k, 1.0))).any()
+        out = _attend(q, k, v, 1.0, keep)
+        assert shift_calls and np.isfinite(out).all()
+        assert_allclose(out, _merged_oracle(q, k, v, 1.0), atol=2e-4 if dtype == np.float32 else 1e-11)
+
+    @pytest.mark.parametrize("dtype,keep", PATH_CASES)
+    @pytest.mark.parametrize("past", [False, True])
+    def test_large_values_lower_the_limit(self, rng, shift_calls, dtype, keep, past):
+        # every logit equals b and every value is near max|v|, so exp(logits) @ v
+        # reaches n2 * exp(b) * max|v|: finite just inside the limit, inf past it
+        info = np.finfo(dtype)
+        vmax = info.max ** 0.85
+        limit = math.log(info.max) - math.log(5 * vmax)
+        b = limit + (0.01 if past else -0.01)
+        q = np.full((2, 7, HEADS * C), math.sqrt(b / C), dtype=dtype)
+        k = np.full((2, 5, HEADS * C), math.sqrt(b / C), dtype=dtype)
+        v = (vmax * (1 - 1e-3 * rng.random((2, 5, HEADS * CV)))).astype(dtype)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(_raw_logits(q, k, 1.0)) @ np.swapaxes(
+                v.reshape(2, 5, HEADS, CV), 1, 2)).any() == past
+        out = _attend(q, k, v, 1.0, keep)
+        assert bool(shift_calls) == past and np.isfinite(out).all()
+        assert_allclose(out, _merged_oracle(q, k, v, 1.0), rtol=1e-5 if dtype == np.float32 else 1e-12)
+
+    @pytest.mark.parametrize("dtype,keep", PATH_CASES)
+    def test_rows_without_a_normal_term_shift(self, shift_calls, dtype, keep):
+        # one key per row and every logit -b, with -ln(finfo.tiny) < b below the
+        # overflow limit: unshifted, exp(-b) is subnormal, and in float64 its
+        # reciprocal row sum overflows
+        info = np.finfo(dtype)
+        b = (math.log(info.max) - math.log(info.tiny)) / 2
+        q = np.full((2, 7, HEADS * C), -math.sqrt(b / C), dtype=dtype)
+        k = np.full((2, 1, HEADS * C), math.sqrt(b / C), dtype=dtype)
+        v = np.linspace(-1, 1, 2 * HEADS * CV, dtype=dtype).reshape(2, 1, HEADS * CV)
+        out = _attend(q, k, v, 1.0, keep)
+        assert shift_calls
+        assert np.array_equal(out, np.broadcast_to(v, out.shape))
+
+    @pytest.mark.parametrize("dtype,keep", PATH_CASES)
+    @pytest.mark.parametrize("where,bad", [("q", np.nan), ("k", np.nan), ("v", np.nan),
+                                           ("q", np.inf)])
+    def test_non_finite_input_takes_the_shifted_path(self, rng, shift_calls, dtype, keep,
+                                                     where, bad):
+        ops = dict(zip("qkv", _operands(rng, dtype)))
+        ops[where][0, 3, 1] = bad  # batch 0, row 3, head 0
+        q, k, v = ops["q"], ops["k"], ops["v"]
+        with np.errstate(invalid="ignore"):
+            out = _attend(q, k, v, 0.5, keep)
+            want = _merged_oracle(q, k, v, 0.5)
+        assert shift_calls and np.isnan(out).any()
+        # NaN exactly where the oracle has NaN: one row, every row or one column of head 0
+        assert_allclose(out, want, atol=1e-5 if dtype == np.float32 else 1e-12)
 
 
 def _identity_params(dim: int) -> MhaParams:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import BAD_CONFIG_VALUES, FORGERIES, forge_config, set_config
 from metavit import cli, fileio
-from metavit.checkpoint import save_checkpoint
+from metavit.checkpoint import load_tensors, save_checkpoint, save_tensors
 from metavit.cli import load_config, main
 from metavit.errors import FormatError, MetavitError, UsageError
 from metavit.model import build_variant, variant
@@ -76,11 +76,12 @@ class TestExitCodes:
         bad.write_bytes(b"XXXXgarbage")
         assert main(["infer", "--checkpoint", str(bad), "--image", image_file]) == 2
 
-    def test_non_finite_checkpoint_is_data_error(self, tmp_path, capsys, image_file):
-        model = build_variant(variant("tiny-narrow", num_classes=3), 0)
-        next(iter(model.parameters().values())).data.reshape(-1)[0] = np.nan
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, capsys, ckpt_file, image_file):
+        # save_checkpoint refuses NaN weights, so the file is forged record by record
+        table = load_tensors(ckpt_file)
+        table["stem.conv1.w"].reshape(-1)[0] = np.nan
         path = tmp_path / "nan.lmvt"
-        save_checkpoint(model, str(path))
+        save_tensors(str(path), table)
         assert main(["infer", "--checkpoint", str(path), "--image", image_file]) == 2
         assert "NaN or infinite" in capsys.readouterr().err
 
@@ -125,6 +126,48 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "analyze", fail)
         assert main(["analyze"]) == 2
         assert "unlisted failure" in capsys.readouterr().err
+
+
+def _one_line_usage_error(err: str, key: str) -> bool:
+    return (err.startswith("usage error: ") and err.count("\n") == 1
+            and key in err and "Traceback" not in err)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built before the values were checked")
+
+
+class TestHostileValues:
+    """Out-of-range numbers end in a one-line usage error before anything is built."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", "0"), ("batch_size", "-4"), ("lr", "nan"), ("lr", "inf"), ("lr", "-1"),
+        ("label_smoothing", "7"), ("label_smoothing", "1"), ("label_smoothing", "-0.1"),
+        ("label_smoothing", "nan"), ("noise_sigma", "-1"), ("noise_sigma", "nan"),
+        ("noise_sigma", "inf"),
+    ])
+    def test_train(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.setattr(cli, "Model", _refuse)
+        code = main(["train", "--variant", "tiny-narrow", "--steps", "1", "--samples", "3",
+                     "--out-dir", str(tmp_path / "out"), "--" + key.replace("_", "-"), value])
+        assert code == 1
+        assert _one_line_usage_error(capsys.readouterr().err, key)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode,key,value,word", [
+        ("pair", "e", "0", "expansion"), ("pair", "e", "-2", "expansion"),
+        ("pair", "warmup", "-1", "warmup"), ("model", "warmup", "-1", "warmup"),
+        ("pair", "iters", "0", "iterations"), ("model", "iters", "-1", "iterations"),
+    ])
+    def test_bench(self, tmp_path, capsys, monkeypatch, mode, key, value, word):
+        monkeypatch.setattr(cli.bench_mod, "ParamStore", _refuse)
+        monkeypatch.setattr(cli.bench_mod, "Model", _refuse)
+        code = main(["bench", "--mode", mode, "--n", "16", "--m", "4", "--d", "8",
+                     "--variant", "tiny-narrow", "--input", "64",
+                     "--out-dir", str(tmp_path), "--" + key, value])
+        assert code == 1
+        assert _one_line_usage_error(capsys.readouterr().err, word)
+        assert not (tmp_path / "bench.csv").exists()
 
 
 class TestAnalyze:

@@ -438,6 +438,18 @@ class TestCheckpoint:
         # record "b" starts after the header (12 bytes) and record "a" (2 + 1 + 2 + 4 + 8)
         assert err.value.offset == 12 + 17
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])  # 1e39 overflows float32
+    def test_non_finite_weights_refused_before_writing(self, tmp_path, bad):
+        model = build_variant(variant("tiny-narrow", num_classes=3), 0, dtype=np.float64)
+        model.parameters()["s1.b0.attn.wq"].data[2, 3] = bad
+        fresh, kept = tmp_path / "new.lmvt", tmp_path / "old.lmvt"
+        save_checkpoint(toy_model(), str(kept))
+        before = kept.read_bytes()
+        for path in (fresh, kept):
+            with pytest.raises(FormatError, match="'s1.b0.attn.wq' holds NaN or infinite"):
+                save_checkpoint(model, str(path))
+        assert not fresh.exists() and kept.read_bytes() == before
+
     def test_toggles_survive_round_trip(self, tmp_path, rng):
         model = toy_model(seed=1, use_meta_pooling=False, dca_sequential=True)
         path = str(tmp_path / "m.lmvt")

@@ -51,6 +51,26 @@ class TestMakeSynth:
         with pytest.raises(ConfigError):
             make_synth(2)
 
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-9, math.nan, math.inf])
+    def test_negative_or_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            make_synth(3, noise_sigma=sigma)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("batch_size", -4), ("lr", math.nan), ("lr", math.inf),
+        ("lr", -1e-3), ("label_smoothing", 1.0), ("label_smoothing", 7.0),
+        ("label_smoothing", -0.1), ("label_smoothing", math.nan),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_edges_accepted(self):
+        TrainConfig(batch_size=1, lr=0.0, label_smoothing=0.0)
+        TrainConfig(label_smoothing=0.999)
+
 
 class TestOptimizers:
     def test_sgd_momentum_moves_toward_minimum(self):
