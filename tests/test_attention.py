@@ -258,13 +258,14 @@ HEADS, C, CV = 2, 3, 2  # merged operands (2, 7, 6), (2, 5, 6) and (2, 5, 4)
 PATH_CASES = [(dtype, keep) for dtype in (np.float32, np.float64) for keep in (True, False)]
 
 
+def _heads(a):
+    """The (..., H, N, C) view of a merged (..., N, H*C) operand."""
+    return np.swapaxes(a.reshape(a.shape[:-1] + (HEADS, -1)), -2, -3)
+
+
 def _merged_oracle(q, k, v, scale):
-    """naive_attention in float64 per batch index and head of merged (..., N, H*C) operands."""
-
-    def split(a):
-        return np.swapaxes(a.reshape(a.shape[:-1] + (HEADS, -1)), -2, -3).astype(np.float64)
-
-    out = _per_head_oracle(split(q), split(k), split(v), 1 / scale)
+    """naive_attention in float64 per batch index and head of merged operands."""
+    out = _per_head_oracle(*(_heads(a).astype(np.float64) for a in (q, k, v)), 1 / scale)
     return np.swapaxes(out, -2, -3).reshape(q.shape[:-1] + (v.shape[-1],))
 
 
@@ -281,9 +282,8 @@ def _attend(q, k, v, scale, keep):
 
 
 def _raw_logits(q, k, scale):
-    """The unshifted (2, H, 7, 5) logits, in the operands' dtype."""
-    split = lambda a: np.swapaxes(a.reshape(a.shape[:-1] + (HEADS, -1)), -2, -3)
-    return split(q) @ np.swapaxes(split(k), -1, -2) * q.dtype.type(scale)
+    """The unshifted (..., H, N1, N2) logits, in the operands' dtype."""
+    return _heads(q) @ np.swapaxes(_heads(k), -1, -2) * q.dtype.type(scale)
 
 
 @pytest.fixture
@@ -346,8 +346,7 @@ class TestSoftmaxPaths:
         k = np.full((2, 5, HEADS * C), math.sqrt(b / C), dtype=dtype)
         v = (vmax * (1 - 1e-3 * rng.random((2, 5, HEADS * CV)))).astype(dtype)
         with np.errstate(over="ignore"):
-            assert np.isinf(np.exp(_raw_logits(q, k, 1.0)) @ np.swapaxes(
-                v.reshape(2, 5, HEADS, CV), 1, 2)).any() == past
+            assert np.isinf(np.exp(_raw_logits(q, k, 1.0)) @ _heads(v)).any() == past
         out = _attend(q, k, v, 1.0, keep)
         assert bool(shift_calls) == past and np.isfinite(out).all()
         assert_allclose(out, _merged_oracle(q, k, v, 1.0), rtol=1e-5 if dtype == np.float32 else 1e-12)

@@ -6,20 +6,10 @@ from metavit.errors import UsageError
 from metavit.model import variant
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("built before the arguments were checked")
-
-
 class TestBenchBlockPair:
     def test_too_few_iterations_rejected(self):
         with pytest.raises(UsageError):
             bench_block_pair(64, 8, 16, iters=10)
-
-    @pytest.mark.parametrize("kwargs", [{"e": 0}, {"e": -1}, {"warmup": -1}, {"iters": 0}])
-    def test_bad_loop_or_expansion_rejected_before_building(self, monkeypatch, kwargs):
-        monkeypatch.setattr(bench, "ParamStore", _refuse)
-        with pytest.raises(UsageError):
-            bench_block_pair(64, 8, 16, **kwargs)
 
     def test_non_square_token_count_rejected(self):
         with pytest.raises(UsageError):
@@ -62,12 +52,6 @@ class TestBenchModel:
     def test_iters_guard(self):
         with pytest.raises(UsageError):
             bench_model(variant("tiny-narrow", num_classes=3), 64, iters=5)
-
-    @pytest.mark.parametrize("kwargs", [{"warmup": -1}, {"iters": 0}])
-    def test_bad_loop_rejected_before_building(self, monkeypatch, kwargs):
-        monkeypatch.setattr(bench, "Model", _refuse)
-        with pytest.raises(UsageError):
-            bench_model(variant("tiny-narrow", num_classes=3), 64, **kwargs)
 
 
 @pytest.mark.slow
