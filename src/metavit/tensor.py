@@ -3,13 +3,18 @@
 Tensors wrap contiguous row-major numpy buffers (float32 by default,
 float64 for gradient checking). Every kernel is a pure function of its
 inputs: it allocates a fresh output and, when gradients are enabled and
-required, records a vector-Jacobian-product closure linking the output
-to its parents. ``backward`` replays those records in reverse execution
-order and accumulates gradients into ``Tensor.grad``. It consumes the
-graph as it walks it: each node's gradient, closure and parent links are
-dropped once its closure has run, so only leaves keep a ``grad`` (a
-private, writable array), a ``Graph`` passed to ``backward`` is used up,
-and a second ``backward`` from the same loss is rejected.
+required, records a ``Node`` that the output points to. A node holds the
+op's vector-Jacobian-product closure, its parents (the nodes of recorded
+inputs, and leaf tensors themselves), its dtype, its op name and, during
+``backward``, its gradient; it holds no reference to its output. Each
+closure captures only the shapes, flags and arrays it reads, so an op's
+output lives past the forward only while the caller holds it or a later
+op's closure saved it. ``backward`` replays the nodes in reverse
+execution order and accumulates gradients into the leaves' ``grad``. It
+consumes the graph as it walks it: each node's gradient, closure and
+parent links are dropped once its closure has run, so only leaves keep a
+``grad`` (a private, writable array), a ``Graph`` passed to ``backward``
+is used up, and a second ``backward`` from the same loss is rejected.
 
 There is no global mutable state; the autograd on/off switch and the
 optional multiply-accumulate meters are thread-local.
@@ -75,10 +80,32 @@ def _count_macs(n: int) -> None:
         meter.total += int(n)
 
 
-class Tensor:
-    """Dense row-major numeric array with an optional gradient slot."""
+class Node:
+    """One recorded op: its VJP, its parents, its gradient, dtype and op name.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "op")
+    ``parents`` holds a ``Node`` for each recorded input and the input
+    ``Tensor`` itself for every other one. ``vjp`` maps the gradient at the
+    output to one gradient (or None) per parent.
+    """
+
+    __slots__ = ("vjp", "parents", "grad", "dtype", "op")
+    requires_grad = True
+
+    def __init__(self, vjp, parents: tuple, dtype, op: str):
+        self.vjp = vjp
+        self.parents = parents
+        self.grad: np.ndarray | None = None
+        self.dtype = dtype
+        self.op = op
+
+
+class Tensor:
+    """Dense row-major numeric array with an optional gradient slot.
+
+    ``node`` is the ``Node`` that recorded this tensor, or None for a leaf.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -89,9 +116,11 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
-        self.op = "leaf"
+        self.node: Node | None = None
+
+    @property
+    def op(self) -> str:
+        return "leaf" if self.node is None else self.node.op
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -130,11 +159,10 @@ def _recording(parents) -> bool:
 
 def _node(data: np.ndarray, parents, vjp, op: str) -> Tensor:
     out = Tensor(data)
-    out.op = op
     if _recording(parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out.node = Node(vjp, tuple(p if p.node is None else p.node for p in parents),
+                        out.dtype, op)
     return out
 
 
@@ -163,20 +191,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Graph:
-    """Ordered record of the operations reachable from a root tensor.
+    """Ordered record of the nodes and leaf tensors reachable from a root tensor.
 
-    The node list is a topological linearization consistent with forward
+    The list is a topological linearization consistent with forward
     execution order; the reverse pass walks it once, back to front.
     """
 
-    def __init__(self, nodes: list[Tensor]):
+    def __init__(self, nodes: list[Node | Tensor]):
         self.nodes = nodes
 
     @classmethod
     def trace(cls, root: Tensor) -> "Graph":
-        order: list[Tensor] = []
+        order: list[Node | Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        start = root if root.node is None else root.node
+        stack: list[tuple[Node | Tensor, bool]] = [(start, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -186,7 +215,7 @@ class Graph:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in () if isinstance(node, Tensor) else node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         return cls(order)
@@ -198,38 +227,40 @@ class Graph:
 def backward(loss: Tensor, graph: Graph | None = None) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar. Visits each recorded operation exactly once,
-    in reverse execution order, and consumes the graph as it goes: once a
+    ``loss`` must be a scalar. Visits each recorded node exactly once, in
+    reverse execution order, and consumes the graph as it goes: once a
     node's VJP has run, its ``grad``, VJP closure and parent links are
-    dropped, which frees the forward arrays the closure saved. Non-leaf
-    gradients are therefore not kept after backward, and a ``graph`` passed
-    in is used up. Gradients are never written in place, because a VJP may
-    return a view of its input, a read-only broadcast, or one array for two
-    parents; only a leaf's first gradient is copied, so that every leaf owns
-    a private, writable ``grad``.
+    dropped, which frees the forward arrays the closure saved (a linear's
+    input rows, attention's q, k, v and probabilities, a layer norm's
+    ``xhat``, a conv's padded input, a GELU's derivative). Gradients live
+    on nodes while backward runs and only leaves keep one, and a ``graph``
+    passed in is used up. Gradients are never written in place, because a
+    VJP may return a view of its input, a read-only broadcast, or one array
+    for two parents; only a leaf's first gradient is copied, so that every
+    leaf owns a private, writable ``grad``.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss.requires_grad and loss._vjp is None and loss.op != "leaf":
+    if loss.node is not None and loss.node.vjp is None:
         raise ContractError(f"the graph behind this {loss.op} output was used up by a backward")
     if graph is None:
         graph = Graph.trace(loss)
     nodes = graph.nodes
-    loss.grad = np.ones_like(loss.data)
+    (loss if loss.node is None else loss.node).grad = np.ones_like(loss.data)
     while nodes:
         node = nodes.pop()
-        vjp, grad, parents = node._vjp, node.grad, node._parents
-        if vjp is None:
+        if isinstance(node, Tensor) or node.vjp is None:
             continue
-        node.grad, node._vjp, node._parents = None, None, ()
+        vjp, grad, parents = node.vjp, node.grad, node.parents
+        node.grad, node.vjp, node.parents = None, None, ()
         if grad is None:
             continue
         for parent, g in zip(parents, vjp(grad)):
             if g is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                # only a leaf needs its own copy: non-leaf gradients are only read
-                parent.grad = g.astype(parent.dtype, copy=parent._vjp is None)
+                # only a leaf needs its own copy: node gradients are only read
+                parent.grad = g.astype(parent.dtype, copy=isinstance(parent, Tensor))
             else:
                 parent.grad = parent.grad + g.astype(parent.dtype, copy=False)
 
@@ -247,9 +278,10 @@ def add(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _node(out, (a, b), vjp, "add")
 
@@ -257,20 +289,21 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return _node(out, (a, b), vjp, "mul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape, old = tuple(shape), a.shape
     out = a.data.reshape(shape)
 
     def vjp(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(old),)
 
     return _node(out, (a,), vjp, "reshape")
 
@@ -288,19 +321,20 @@ def permute(a: Tensor, axes) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum(), dtype=a.dtype)
+    shape = a.shape
 
     def vjp(g):
-        return (np.broadcast_to(g, a.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _node(out, (a,), vjp, "sum")
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.size
+    n, shape = a.size, a.shape
     out = np.asarray(a.data.mean(), dtype=a.dtype)
 
     def vjp(g):
-        return (np.broadcast_to(g / n, a.shape),)
+        return (np.broadcast_to(g / n, shape),)
 
     return _node(out, (a,), vjp, "mean")
 
@@ -339,17 +373,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul batch dimensions disagree: {a.shape} @ {b.shape}"
         )
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    out = ad @ bd
     batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
     _count_macs(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
 
     def vjp(g):
-        da = g @ np.swapaxes(b.data, -1, -2)
-        db = np.swapaxes(a.data, -1, -2) @ g
-        if da.shape != a.shape:
-            da = da.sum(axis=tuple(range(da.ndim - a.ndim)))
-        if db.shape != b.shape:
-            db = db.sum(axis=tuple(range(db.ndim - b.ndim)))
+        da = g @ np.swapaxes(bd, -1, -2)
+        db = np.swapaxes(ad, -1, -2) @ g
+        if da.shape != ad.shape:
+            da = da.sum(axis=tuple(range(da.ndim - ad.ndim)))
+        if db.shape != bd.shape:
+            db = db.sum(axis=tuple(range(db.ndim - bd.ndim)))
         return da, db
 
     return _node(out, (a, b), vjp, "matmul")
@@ -365,18 +400,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
         raise DimensionError(f"linear needs x (..., K) and w (K, N), got {x.shape}, {w.shape}")
     k, n = w.shape
-    xf = x.data.reshape(-1, k)
-    out = xf @ w.data
+    xf, wd, xshape, need_dx = x.data.reshape(-1, k), w.data, x.shape, x.requires_grad
+    out = xf @ wd
     _count_macs(xf.shape[0] * k * n)
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
+    bias = b is not None
 
     def vjp(g):
         gf = g.reshape(-1, n)
-        dx = (gf @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        dx = (gf @ wd.T).reshape(xshape) if need_dx else None
         grads = [dx, xf.T @ gf]
-        if b is not None:
+        if bias:
             grads.append(_sum_leading(gf, 1))
         return tuple(grads)
 
@@ -494,13 +530,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
         """The (..., H, N, C) view of a (..., N, H*C) array."""
         return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -2, -3)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qd, kd, vd = q.data, k.data, v.data
+    qh, kh, vh = split(qd), split(kd), split(vd)
     lead, n1, n2 = qh.shape[:-2], qh.shape[-2], kh.shape[-2]
     batch = math.prod(lead)
     _count_macs(batch * n1 * n2 * (qh.shape[-1] + vh.shape[-1]))
     rows = max(1, tile_elements // (batch * n2))
     qs, kt = qh, np.swapaxes(kh, -1, -2)
-    bounded = _logits_bounded(qh, kh, v.data, scale)
+    bounded = _logits_bounded(qh, kh, vd, scale)
     if bounded and n1 <= n2:
         qs = qh * scale
     elif bounded:
@@ -523,7 +560,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
 
     def vjp(g):
         gh = split(g)
-        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
         np.matmul(np.swapaxes(probs, -1, -2), gh, out=split(dv))
         ds = gh @ np.swapaxes(vh, -1, -2)
         _softmax_grad_inplace(probs, ds)
@@ -562,14 +599,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = np.einsum("...j,...j->...", xhat, xhat)[..., None] / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out = xhat * gamma.data
+    gd = gamma.data
+    out = xhat * gd
     out += beta.data
 
     def vjp(g):
         gx = g * xhat
         dgamma = _sum_leading(gx, g.ndim - 1)
-        gx *= gamma.data  # now ggam * xhat
-        dx = g * gamma.data  # ggam
+        gx *= gd  # now ggam * xhat
+        dx = g * gd  # ggam
         dx -= row_mean(dx)
         dx -= np.multiply(xhat, row_mean(gx), out=gx)
         dx *= inv
@@ -608,15 +646,27 @@ def _horner(x2: np.ndarray, coeffs, out: np.ndarray) -> None:
     out += coeffs[0]
 
 
-def _normal_cdf_float32(x: np.ndarray) -> np.ndarray:
+def _gelu_slope(x: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
+    """Write GELU's derivative Phi(x) + x pdf(x) into ``out``, given ``phi`` = Phi(x)."""
+    np.square(x, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    out *= x
+    out += phi
+
+
+def _normal_cdf_float32(x: np.ndarray, slope: np.ndarray | None = None) -> np.ndarray:
     """Phi(x) for float32 ``x`` through the rational erf, as a fresh array.
 
     scipy's ``erf`` is a scalar loop; this runs about 25 vectorized passes
     per chunk, with each chunk's three work buffers small enough to stay in
-    cache.
+    cache. Given ``slope``, an array shaped like ``x``, each chunk also
+    writes ``_gelu_slope`` into it while its Phi is still in cache.
     """
     flat = x.reshape(-1)
     phi = np.empty_like(flat)
+    dflat = None if slope is None else slope.reshape(-1)
     size = max(1, min(_CHUNK_ELEMENTS, flat.size))
     xc, x2, den = (np.empty(size, dtype=np.float32) for _ in range(3))
     for i in range(0, flat.size, size):
@@ -629,6 +679,8 @@ def _normal_cdf_float32(x: np.ndarray) -> np.ndarray:
         _horner(b, _PHI_Q, q)
         p /= q
         p += 0.5
+        if dflat is not None:
+            _gelu_slope(flat[i : i + n], p, dflat[i : i + n])
     return phi.reshape(x.shape)
 
 
@@ -637,31 +689,24 @@ def gelu(x: Tensor) -> Tensor:
 
     float32 evaluates Phi with the rational erf above, within 2e-6 absolute
     of the exact GELU; float64 keeps scipy's exact ``erf``, the reference
-    gradcheck tests against. Without a graph the output is formed in Phi's
-    buffer. The input array is never written.
+    gradcheck tests against. The output is formed in Phi's buffer. When
+    recording, the derivative Phi(x) + x pdf(x) is formed in forward and is
+    the only array the VJP keeps, neither Phi nor the input. The input
+    array is never written.
     """
+    slope = np.empty_like(x.data) if _recording((x,)) else None
     if x.dtype == np.float32:
-        phi = _normal_cdf_float32(x.data)
+        out = _normal_cdf_float32(x.data, slope)
     else:
-        phi = erf(x.data * _INV_SQRT2)
-        phi += 1.0
-        phi *= 0.5
-    if _recording((x,)):
-        out = x.data * phi
-    else:
-        out = phi
-        out *= x.data
+        out = erf(x.data * _INV_SQRT2)
+        out += 1.0
+        out *= 0.5
+        if slope is not None:
+            _gelu_slope(x.data, out, slope)
+    out *= x.data
 
     def vjp(g):
-        # d/dx x Phi(x) = Phi(x) + x pdf(x)
-        d = np.square(x.data)
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= _INV_SQRT_2PI
-        d *= x.data
-        d += phi
-        d *= g
-        return (d,)
+        return (g * slope,)
 
     return _node(out, (x,), vjp, "gelu")
 
@@ -763,6 +808,7 @@ def conv2d(
         out += b.data
 
     parents = (x, w) if b is None else (x, w, b)
+    need_dx, bias = x.requires_grad, b is not None
 
     def tap(a, ki, kj):
         """The (B, Ho, Wo, C) view of ``a`` read by kernel tap (ki, kj)."""
@@ -799,10 +845,10 @@ def conv2d(
                 co = slice(gi * cout_g, (gi + 1) * cout_g)
                 dwt[..., co] = (cols(gi).T @ gm[:, co]).reshape(k, k, cin_g, cout_g)
         grads = [
-            input_grad(gg) if x.requires_grad else None,
+            input_grad(gg) if need_dx else None,
             np.ascontiguousarray(dwt.transpose(3, 2, 0, 1)),
         ]
-        if b is not None:
+        if bias:
             grads.append(_sum_leading(gg, 3))
         return tuple(grads)
 

@@ -87,6 +87,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.lr < math.inf:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 <= self.label_smoothing < 1:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.optimizer not in ("adamw-lite", "sgd-momentum"):

@@ -185,7 +185,7 @@ class TestFusedAttentionOp:
         q, k, v = (Tensor(rng.standard_normal((2, n, 4)), requires_grad=True) for n in (5, 3, 3))
         with MacCounter() as meter:
             out = T.attention(q, k, v, 0.5)
-        assert out.op == "attention" and out._parents == (q, k, v)
+        assert out.op == "attention" and out.node.parents == (q, k, v)
         assert len(Graph.trace(out)) == 4
         assert meter.total == 2 * 5 * 3 * (4 + 4)
 

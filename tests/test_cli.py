@@ -142,6 +142,7 @@ class TestHostileValues:
 
     @pytest.mark.parametrize("key,value", [
         ("batch_size", "0"), ("batch_size", "-4"), ("lr", "nan"), ("lr", "inf"), ("lr", "-1"),
+        ("weight_decay", "nan"), ("weight_decay", "inf"), ("weight_decay", "-1"),
         ("label_smoothing", "7"), ("label_smoothing", "1"), ("label_smoothing", "-0.1"),
         ("label_smoothing", "nan"), ("noise_sigma", "-1"), ("noise_sigma", "nan"),
         ("noise_sigma", "inf"),

@@ -60,7 +60,8 @@ class TestMakeSynth:
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("batch_size", -4), ("lr", math.nan), ("lr", math.inf),
-        ("lr", -1e-3), ("label_smoothing", 1.0), ("label_smoothing", 7.0),
+        ("lr", -1e-3), ("weight_decay", math.nan), ("weight_decay", math.inf),
+        ("weight_decay", -1.0), ("label_smoothing", 1.0), ("label_smoothing", 7.0),
         ("label_smoothing", -0.1), ("label_smoothing", math.nan),
     ])
     def test_out_of_range_rejected(self, field, value):
@@ -68,7 +69,7 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
     def test_edges_accepted(self):
-        TrainConfig(batch_size=1, lr=0.0, label_smoothing=0.0)
+        TrainConfig(batch_size=1, lr=0.0, weight_decay=0.0, label_smoothing=0.0)
         TrainConfig(label_smoothing=0.999)
 
 
