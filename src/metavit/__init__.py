@@ -11,7 +11,6 @@ micro-benchmarks, a toy trainer, and a command line.
 from .attention import (
     AttentionConfig,
     MhaParams,
-    Scaling,
     entropy_scale,
     multi_head_attention,
 )
@@ -36,7 +35,7 @@ from .trainer import SynthDataset, TrainConfig, evaluate, make_synth, train_toy
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionConfig", "MhaParams", "Scaling", "entropy_scale",
+    "AttentionConfig", "MhaParams", "entropy_scale",
     "multi_head_attention",
     "BenchResult", "bench_block_pair", "bench_model", "speedup",
     "CABlock", "Cpe", "DCABlock", "Downsample", "ImageStem", "MetaStem",

@@ -1,28 +1,22 @@
-"""Attention scale factors and the multi-head attention wrapper.
+"""The attention scale factor and the multi-head attention wrapper.
 
-Two scale-factor modes are supported. Standard scaling divides the
-query-key logits by sqrt(width). Entropy-invariant scaling divides by
-(ln N1 / ln N2) * sqrt(width) instead, which keeps attention entropy
-stable when query and key counts differ, as they do in cross-attention
-between a long image-token stream and a short meta-token stream. The two
-coincide whenever N1 == N2 because the log ratio is 1, and the ratio
-makes the factor independent of the logarithm base.
+Every attention call divides its query-key logits by one factor,
+(ln N1 / ln N2) * sqrt(width), which keeps attention entropy stable when
+query and key counts differ, as they do in cross-attention between a long
+image-token stream and a short meta-token stream. Only the ratio of the
+logs enters, so the factor does not depend on the logarithm base. When
+the counts match, as in self-attention, the log ratio is 1 and the factor
+is exactly sqrt(width).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from . import tensor as T
 from .errors import ConfigError
 from .tensor import Tensor
-
-
-class Scaling(Enum):
-    STANDARD = "standard"
-    ENTROPY_INVARIANT = "entropy-invariant"
 
 
 @dataclass(frozen=True)
@@ -31,7 +25,6 @@ class AttentionConfig:
 
     dim: int
     head_dim: int = 32
-    scaling: Scaling = Scaling.STANDARD
 
     def __post_init__(self):
         if self.dim <= 0 or self.head_dim <= 0:
@@ -47,13 +40,16 @@ class AttentionConfig:
 
 
 def entropy_scale(n_query: int, n_key: int, width: int) -> float:
-    """(ln N1 / ln N2) * sqrt(C); degenerate below two tokens on either side."""
+    """(ln N1 / ln N2) * sqrt(C): exactly sqrt(C) when the counts match, even
+    for one token, and degenerate for unequal counts below two on either side."""
+    if width < 1:
+        raise ConfigError(f"entropy_scale width must be >= 1, got {width}")
+    if n_query == n_key:
+        return math.sqrt(width)
     if n_query < 2 or n_key < 2:
         raise ConfigError(
             f"entropy_scale needs at least 2 tokens on each side, got {n_query}/{n_key}"
         )
-    if width < 1:
-        raise ConfigError(f"entropy_scale width must be >= 1, got {width}")
     return (math.log(n_query) / math.log(n_key)) * math.sqrt(width)
 
 
@@ -82,9 +78,8 @@ def multi_head_attention(
     """Project, attend per head, reproject: five graph nodes.
 
     The projections stay in the merged (..., N, dim) layout; ``tensor.attention``
-    reads its dim/head_dim heads through strided views. With entropy-invariant
-    scaling the per-head scale is entropy_scale(N1, N2, head_dim); standard
-    scaling uses sqrt(head_dim). Returns the output, or (output, attention)
+    reads its dim/head_dim heads through strided views. The logits are divided
+    by entropy_scale(N1, N2, head_dim). Returns the output, or (output, attention)
     when ``return_attn`` is set; the attention is averaged over heads, a plain
     (..., N1, N2) array for visualization.
     """
@@ -93,10 +88,7 @@ def multi_head_attention(
             raise ConfigError(
                 f"{name} width {t.shape[-1]} does not match configured dim {cfg.dim}"
             )
-    if cfg.scaling is Scaling.ENTROPY_INVARIANT:
-        scale = entropy_scale(q.shape[-2], k.shape[-2], cfg.head_dim)
-    else:
-        scale = math.sqrt(cfg.head_dim)
+    scale = entropy_scale(q.shape[-2], k.shape[-2], cfg.head_dim)
     attended = T.attention(
         T.linear(q, params.wq, params.bq),
         T.linear(k, params.wk, params.bk),

@@ -4,9 +4,8 @@ The three attention blocks are one pre-norm block over two streams, an
 image-token grid ("img") and a short meta-token stream ("meta"), driven
 by the ``route`` of each kind's class; ``BLOCKS`` maps a kind to its
 class, so ``BLOCKS[kind].route`` is that kind's route. A route lists the
-attention branches as (updated stream <- key/value stream), says whether
-conditional positional encoding (CPE) runs on the grid first, and picks
-the scaling:
+attention branches as (updated stream <- key/value stream) and says
+whether conditional positional encoding (CPE) runs on the grid first:
 
 * ``ca`` cross-attention: meta <- img; image tokens pass through untouched.
 * ``dca`` dual cross-attention: img <- meta and meta <- img, after CPE.
@@ -20,9 +19,9 @@ Each branch queries its own normed stream, and each updated stream ends
 with a residual through the FFN that both streams share. The q/k/v
 projection weights are shared by the branches of a block (each branch
 projects its own inputs with them); each branch owns its output
-projection. Cross-attention routes use entropy-invariant scaling, self
-attention standard scaling (the two agree when query and key counts
-match).
+projection. Every branch divides its logits by
+``attention.entropy_scale(N1, N2, head_dim)``, which is sqrt(head_dim) in
+self-attention, where the counts match.
 
 The route also fixes parameter names and registration order, which
 seeded weights and checkpoints depend on: ``cpe``, ``attn.wq`` ...
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, MhaParams, Scaling, multi_head_attention
+from .attention import AttentionConfig, MhaParams, multi_head_attention
 from .errors import ConfigError, ContractError, InputError
 from .tensor import Tensor
 
@@ -237,7 +236,6 @@ class Route:
     """Which stream each attention branch of a block kind updates and reads."""
 
     branches: tuple[tuple[str, str], ...]  # (updated stream, key/value stream), img first
-    scaling: Scaling
     cpe: bool  # residual positional encoding on the image grid before the norms
 
     @property
@@ -273,7 +271,7 @@ class _TwoStreamBlock:
     ):
         route = self.route
         self.sequential = sequential
-        self.cfg = AttentionConfig(dim, head_dim, route.scaling)
+        self.cfg = AttentionConfig(dim, head_dim)
         self.cpe = Cpe(store, f"{name}.cpe", dim, cpe_kernel) if route.cpe and use_cpe else None
         qkv = []
         for p in "qkv":
@@ -330,7 +328,7 @@ class _TwoStreamBlock:
 class CABlock(_TwoStreamBlock):
     """Cross-attention block: meta <- image; the image grid passes through."""
 
-    route = Route((("meta", "img"),), Scaling.ENTROPY_INVARIANT, cpe=False)
+    route = Route((("meta", "img"),), cpe=False)
     __call__ = _TwoStreamBlock._run
 
 
@@ -342,14 +340,14 @@ class DCABlock(_TwoStreamBlock):
     re-normed, already updated image tokens.
     """
 
-    route = Route((("img", "meta"), ("meta", "img")), Scaling.ENTROPY_INVARIANT, cpe=True)
+    route = Route((("img", "meta"), ("meta", "img")), cpe=True)
     __call__ = _TwoStreamBlock._run
 
 
 class SABlock(_TwoStreamBlock):
     """Standard attention block: each stream attends to itself after CPE."""
 
-    route = Route((("img", "img"), ("meta", "meta")), Scaling.STANDARD, cpe=True)
+    route = Route((("img", "img"), ("meta", "meta")), cpe=True)
     __call__ = _TwoStreamBlock._run
 
 

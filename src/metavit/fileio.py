@@ -57,18 +57,23 @@ def _read_pnm_header(data: bytes, magic: bytes, path: str):
     return fields, pos + 1  # single whitespace byte separates header and raster
 
 
-def read_ppm(path: str) -> np.ndarray:
-    """Binary PPM to a (3, H, W) float32 image in [-1, 1]."""
+def _read_pnm(path: str, magic: bytes, channels: int) -> tuple[np.ndarray, int]:
+    """The (H, W, channels) samples of a binary PNM file and its maxval."""
     with open(path, "rb") as f:
         data = f.read()
-    (width, height, maxval), offset = _read_pnm_header(data, b"P6", path)
+    (width, height, maxval), offset = _read_pnm_header(data, magic, path)
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
-    count = width * height * 3
-    raster = data[offset : offset + count * dtype.itemsize]
-    if len(raster) != count * dtype.itemsize:
+    size = width * height * channels * dtype.itemsize
+    raster = data[offset : offset + size]
+    if len(raster) != size:
         raise FormatError(f"{path}: truncated raster", offset=offset + len(raster))
-    pixels = np.frombuffer(raster, dtype=dtype).astype(np.float32)
-    pixels = pixels.reshape(height, width, 3).transpose(2, 0, 1)
+    return np.frombuffer(raster, dtype=dtype).reshape(height, width, channels), maxval
+
+
+def read_ppm(path: str) -> np.ndarray:
+    """Binary PPM to a (3, H, W) float32 image in [-1, 1]."""
+    samples, maxval = _read_pnm(path, b"P6", 3)
+    pixels = samples.astype(np.float32).transpose(2, 0, 1)
     return (pixels / maxval) * 2.0 - 1.0
 
 
@@ -86,12 +91,5 @@ def write_pgm16(path: str, values: np.ndarray) -> None:
 
 
 def read_pgm16(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
-    (width, height, maxval), offset = _read_pnm_header(data, b"P5", path)
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
-    count = width * height
-    raster = data[offset : offset + count * dtype.itemsize]
-    if len(raster) != count * dtype.itemsize:
-        raise FormatError(f"{path}: truncated raster", offset=offset + len(raster))
-    return np.frombuffer(raster, dtype=dtype).reshape(height, width).astype(np.float32)
+    samples, _ = _read_pnm(path, b"P5", 1)
+    return samples[..., 0].astype(np.float32)

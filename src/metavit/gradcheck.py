@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, MhaParams, Scaling, multi_head_attention
+from .attention import AttentionConfig, MhaParams, multi_head_attention
 from .blocks import BLOCKS, ParamStore, TokenGrid
 from .model import Model, variant
 from .tensor import Tensor
@@ -186,7 +186,7 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
 def _mha_case(seed: int) -> CheckCase:
     rng = np.random.default_rng(seed)
     dim, head_dim = 8, 4
-    cfg = AttentionConfig(dim, head_dim, Scaling.ENTROPY_INVARIANT)
+    cfg = AttentionConfig(dim, head_dim)
 
     def leaf(*shape):
         return Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)

@@ -329,16 +329,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _node(out, (a,), vjp, "sum")
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n, shape = a.size, a.shape
-    out = np.asarray(a.data.mean(), dtype=a.dtype)
-
-    def vjp(g):
-        return (np.broadcast_to(g / n, shape),)
-
-    return _node(out, (a,), vjp, "mean")
-
-
 def broadcast_to_batch(a: Tensor, batch: int) -> Tensor:
     """Tile a parameter tensor along a new leading batch axis."""
     out = np.broadcast_to(a.data, (batch,) + a.shape).copy()
@@ -430,15 +420,10 @@ def _exp_numerators(x: np.ndarray) -> np.ndarray:
     return 1.0 / (x @ np.ones(x.shape[-1], dtype=x.dtype))[..., None]
 
 
-def _softmax_numerators(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Overwrite ``x`` with exp((x - rowmax) * scale) over its last axis (scale > 0)
-    and return the reciprocal row sums of ``_exp_numerators``.
-
-    The row max is subtracted before scaling, which is the same shift since
-    scale is positive.
-    """
+def _softmax_numerators(x: np.ndarray) -> np.ndarray:
+    """Overwrite ``x`` with exp(x - rowmax) over its last axis and return the
+    reciprocal row sums of ``_exp_numerators``."""
     x -= x.max(axis=-1, keepdims=True)
-    x *= scale
     return _exp_numerators(x)
 
 
@@ -466,12 +451,12 @@ def softmax_rows(x: Tensor) -> Tensor:
 _TILE_ELEMENTS = 1 << 20
 
 
-def _logits_bounded(qh: np.ndarray, kh: np.ndarray, v: np.ndarray, scale: float) -> bool:
+def _logits_bounded(qh: np.ndarray, kh: np.ndarray, v: np.ndarray) -> bool:
     """Whether exp may take the (..., H, N1, N2) logits of ``qh`` and ``kh``
-    times ``scale`` without the row max subtracted.
+    without the row max subtracted.
 
-    By Cauchy-Schwarz every logit lies in [-b, b], with b the scale times
-    the largest product of a query and a key row norm of one head. If
+    By Cauchy-Schwarz every logit lies in [-b, b], with b the largest
+    product of a query and a key row norm of one head. If
     n2 * exp(b) * max(1, max|v|) <= finfo.max, no exp, row sum or entry of
     ``exp(logits) @ v`` overflows; if exp(-b) >= finfo.tiny, every term is a
     normal number, so no row sum underflows. A NaN or Inf anywhere makes b
@@ -480,7 +465,7 @@ def _logits_bounded(qh: np.ndarray, kh: np.ndarray, v: np.ndarray, scale: float)
     def sq_norm_max(a):  # per head; C order makes the max a contiguous pass
         return np.einsum("...ij,...ij->...i", a, a, order="C").max(axis=-1, initial=0.0)
 
-    b = scale * math.sqrt((sq_norm_max(qh) * sq_norm_max(kh)).max(initial=0.0))
+    b = math.sqrt((sq_norm_max(qh) * sq_norm_max(kh)).max(initial=0.0))
     info = np.finfo(qh.dtype)
     reach = math.log(kh.shape[-2] * float(np.abs(v).max(initial=1.0)))
     return b <= math.log(info.max) - reach and b <= -math.log(info.tiny)
@@ -499,11 +484,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     v, and the tile's (rows, Cv) output rows are then scaled by the
     reciprocal row sums, which costs 1/Cv of normalizing the N2-wide rows;
     a kept tile is normalized after its output is written, so the output
-    does not depend on whether probabilities are kept. When
-    ``_logits_bounded`` shows that exp cannot overflow or leave a row
-    without a normal term, the scale is folded into a copy of the shorter
-    of q and k and each tile's logits go straight to exp; otherwise each
-    row's max is subtracted first. The only N1 x N2 array is the
+    does not depend on whether probabilities are kept. The scale is folded
+    into a copy of the shorter of q and k on every call. When
+    ``_logits_bounded`` shows from the folded operands that exp cannot
+    overflow or leave a row without a normal term, each tile's logits go
+    straight to exp; otherwise each row's max is subtracted first, which is
+    the only difference between the two paths. Folding before the shift can
+    overflow a logit only where |q . k| exceeds finfo.max / scale with
+    scale > 1; at every site of the published variants at 224 px the scale
+    is below 1, at most 1/1.948. The only N1 x N2 array is the
     (..., H, N1, N2) probability array, kept when a gradient is needed or
     ``return_attn`` asks for it. Otherwise one scratch tile of at most
     ``tile_elements`` values (one query row, if a row is larger) is reused
@@ -536,12 +525,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     batch = math.prod(lead)
     _count_macs(batch * n1 * n2 * (qh.shape[-1] + vh.shape[-1]))
     rows = max(1, tile_elements // (batch * n2))
-    qs, kt = qh, np.swapaxes(kh, -1, -2)
-    bounded = _logits_bounded(qh, kh, vd, scale)
-    if bounded and n1 <= n2:
-        qs = qh * scale
-    elif bounded:
-        kt = kt * scale
+    qs, ks = (qh * scale, kh) if n1 <= n2 else (qh, kh * scale)
+    bounded = _logits_bounded(qs, ks, vd)
+    kt = np.swapaxes(ks, -1, -2)
     out = np.empty(q.shape[:-1] + (v.shape[-1],), dtype=q.dtype)
     outh = split(out)
     keep = return_attn or _recording((q, k, v))
@@ -551,7 +537,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
         r1 = min(r0 + rows, n1)
         tile = probs[..., r0:r1, :] if keep else scratch[..., : r1 - r0, :]
         np.matmul(qs[..., r0:r1, :], kt, out=tile)
-        recip = _exp_numerators(tile) if bounded else _softmax_numerators(tile, scale)
+        recip = _exp_numerators(tile) if bounded else _softmax_numerators(tile)
         rows_out = outh[..., r0:r1, :]
         np.matmul(tile, vh, out=rows_out)
         rows_out *= recip

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import naive_conv2d, zero_block_params
 from metavit import tensor as T
+from metavit.attention import entropy_scale
 from metavit.blocks import (
     BLOCKS,
     CABlock,
@@ -194,6 +197,28 @@ class TestSharedConstructor:
         for a, b in zip(default(grid, meta), given(grid, meta)):
             a, b = (a.tokens, b.tokens) if isinstance(a, TokenGrid) else (a, b)
             assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("kind,counts", [
+        ("ca", [(3, 16)]),
+        ("dca", [(16, 3), (3, 16)]),
+        ("sa", [(16, 16), (3, 3)]),
+    ], ids=["ca", "dca", "sa"])
+    def test_one_scale_rule_for_every_kind(self, rng, monkeypatch, kind, counts):
+        calls = []
+        attend = T.attention
+
+        def spy(q, k, v, scale, **kw):
+            calls.append((q.shape[-2], k.shape[-2], scale))
+            return attend(q, k, v, scale, **kw)
+
+        monkeypatch.setattr(T, "attention", spy)
+        grid, _ = make_grid(rng)
+        meta, _ = make_meta(rng, m=3)
+        BLOCKS[kind](ParamStore(0), "blk", DIM, HEAD, EXP)(grid, meta)
+        assert [(n1, n2) for n1, n2, _ in calls] == counts
+        for n1, n2, scale in calls:
+            want = 1 / math.sqrt(HEAD) if kind == "sa" else 1 / entropy_scale(n1, n2, HEAD)
+            assert scale == want, (n1, n2)
 
 
 class TestCABlock:
