@@ -13,8 +13,8 @@ op's closure saved it. ``backward`` replays the nodes in reverse
 execution order and accumulates gradients into the leaves' ``grad``. It
 consumes the graph as it walks it: each node's gradient, closure and
 parent links are dropped once its closure has run, so only leaves keep a
-``grad`` (a private, writable array), a ``Graph`` passed to ``backward``
-is used up, and a second ``backward`` from the same loss is rejected.
+``grad`` (a private, writable array) and a second ``backward`` from the
+same loss is rejected.
 
 There is no global mutable state; the autograd on/off switch and the
 optional multiply-accumulate meters are thread-local.
@@ -224,17 +224,17 @@ class Graph:
         return len(self.nodes)
 
 
-def backward(loss: Tensor, graph: Graph | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar. Visits each recorded node exactly once, in
-    reverse execution order, and consumes the graph as it goes: once a
-    node's VJP has run, its ``grad``, VJP closure and parent links are
-    dropped, which frees the forward arrays the closure saved (a linear's
-    input rows, attention's q, k, v and probabilities, a layer norm's
-    ``xhat``, a conv's padded input, a GELU's derivative). Gradients live
-    on nodes while backward runs and only leaves keep one, and a ``graph``
-    passed in is used up. Gradients are never written in place, because a
+    ``loss`` must be a scalar. Traces the graph behind it, visits each
+    recorded node exactly once, in reverse execution order, and consumes
+    the graph as it goes: once a node's VJP has run, its ``grad``, VJP
+    closure and parent links are dropped, which frees the forward arrays
+    the closure saved (a linear's input rows, attention's q, k, v and
+    probabilities, a layer norm's ``xhat``, a conv's padded input, a
+    GELU's derivative). Gradients live on nodes while backward runs and
+    only leaves keep one. Gradients are never written in place, because a
     VJP may return a view of its input, a read-only broadcast, or one array
     for two parents; only a leaf's first gradient is copied, so that every
     leaf owns a private, writable ``grad``.
@@ -243,9 +243,7 @@ def backward(loss: Tensor, graph: Graph | None = None) -> None:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.node is not None and loss.node.vjp is None:
         raise ContractError(f"the graph behind this {loss.op} output was used up by a backward")
-    if graph is None:
-        graph = Graph.trace(loss)
-    nodes = graph.nodes
+    nodes = Graph.trace(loss).nodes
     (loss if loss.node is None else loss.node).grad = np.ones_like(loss.data)
     while nodes:
         node = nodes.pop()
@@ -380,7 +378,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), vjp, "matmul")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map over the last axis, ``x @ w + b`` for x of any rank, as one node.
 
     ``w`` is (K, N) and ``b`` is (N,). Forward is one GEMM on the (rows, K)
@@ -393,20 +391,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     xf, wd, xshape, need_dx = x.data.reshape(-1, k), w.data, x.shape, x.requires_grad
     out = xf @ wd
     _count_macs(xf.shape[0] * k * n)
-    if b is not None:
-        out += b.data
-    parents = (x, w) if b is None else (x, w, b)
-    bias = b is not None
+    out += b.data
 
     def vjp(g):
         gf = g.reshape(-1, n)
         dx = (gf @ wd.T).reshape(xshape) if need_dx else None
-        grads = [dx, xf.T @ gf]
-        if bias:
-            grads.append(_sum_leading(gf, 1))
-        return tuple(grads)
+        return dx, xf.T @ gf, _sum_leading(gf, 1)
 
-    return _node(out.reshape(x.shape[:-1] + (n,)), parents, vjp, "linear")
+    return _node(out.reshape(x.shape[:-1] + (n,)), (x, w, b), vjp, "linear")
 
 
 def _exp_numerators(x: np.ndarray) -> np.ndarray:
@@ -699,11 +691,11 @@ def gelu(x: Tensor) -> Tensor:
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over the token axis: (..., N, D) -> (..., D)."""
-    n = x.shape[-2]
+    n, shape = x.shape[-2], x.shape
     out = x.data.mean(axis=-2)
 
     def vjp(g):
-        return (np.repeat(np.expand_dims(g / n, -2), n, axis=-2),)
+        return (np.broadcast_to(np.expand_dims(g / n, -2), shape),)
 
     return _node(out, (x,), vjp, "global_avg_pool")
 
@@ -719,22 +711,25 @@ def _conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
 def conv2d(
     x: Tensor,
     w: Tensor,
-    b: Tensor | None = None,
+    b: Tensor,
     stride: int = 1,
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """Grouped 2-D cross-correlation over channels-last input.
+    """Dense or depthwise 2-D cross-correlation over channels-last input, plus a bias.
 
     ``x`` is (H, W, Cin) or (B, H, W, Cin) and the output is (Ho, Wo, Cout)
-    or (B, Ho, Wo, Cout); ``w`` is (Cout, Cin/groups, k, k). A token grid
-    (..., H*W, D) reshaped to (..., H, W, D) is a valid input without a copy.
-    Every output position reads a (k, k, Cin) window of one strided view.
-    ``groups == Cin == Cout`` is the depthwise case: one einsum over the
-    windows forward and for dw, k*k shifted multiply-adds for dx. Otherwise
-    each group's windows are copied into im2col rows once and the forward,
-    dw and dx are one matrix product each, dx followed by a k*k col2im
-    scatter-add.
+    or (B, Ho, Wo, Cout); ``b`` is (Cout,). ``groups`` is 1 (dense, ``w``
+    (Cout, Cin, k, k)) or Cin == Cout (depthwise, ``w`` (Cin, 1, k, k)); any
+    other grouping raises ``DimensionError``. A token grid (..., H*W, D)
+    reshaped to (..., H, W, D) is a valid input without a copy. Every
+    output position reads a (k, k, Cin) window of one strided view.
+    Depthwise, the forward and dw are one einsum over the windows each.
+    Dense, the windows are copied into (B*Ho*Wo, k*k*Cin) im2col rows, and
+    the forward, dw and dx are one matrix product each. Both build dx in
+    one loop over the k*k kernel taps: depthwise adds each tap's weight
+    times the output gradient, dense scatter-adds the tap's columns of the
+    dx product (col2im).
     """
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
@@ -745,9 +740,10 @@ def conv2d(
     if kh != kw:
         raise DimensionError(f"conv2d kernels must be square, got {w.shape}")
     k = kh
-    if cin % groups or cout % groups:
+    if groups != 1 and not groups == cin == cout:
         raise DimensionError(
-            f"groups={groups} must divide channels Cin={cin}, Cout={cout}"
+            f"conv2d is dense (groups=1) or depthwise (groups=Cin=Cout), got "
+            f"groups={groups}, Cin={cin}, Cout={cout}"
         )
     if cin_g != cin // groups:
         raise DimensionError(
@@ -759,7 +755,6 @@ def conv2d(
         )
     ho = _conv_out_extent(h, k, stride, padding)
     wo = _conv_out_extent(wd_, k, stride, padding)
-    cout_g = cout // groups
     _count_macs(bsz * cout * ho * wo * cin_g * k * k)
 
     if padding:
@@ -776,47 +771,24 @@ def conv2d(
     wt = w.data.transpose(2, 3, 1, 0)
     depthwise = groups == cin == cout
 
-    def cols(gi):
-        """im2col rows of group ``gi``: a (B*Ho*Wo, k*k*Cin/groups) copy."""
-        return win[..., gi * cin_g : (gi + 1) * cin_g].reshape(n, k * k * cin_g)
-
-    def wmat(gi):
-        return wt[..., gi * cout_g : (gi + 1) * cout_g].reshape(k * k * cin_g, cout_g)
-
     if depthwise:
         out = np.einsum("bhwijc,ijc->bhwc", win, np.ascontiguousarray(wt[:, :, 0]))
     else:
-        out = np.empty((n, cout), dtype=xd.dtype)
-        for gi in range(groups):
-            np.matmul(cols(gi), wmat(gi), out=out[:, gi * cout_g : (gi + 1) * cout_g])
+        out = win.reshape(n, k * k * cin) @ wt.reshape(k * k * cin, cout)
         out = out.reshape(bsz, ho, wo, cout)
-    if b is not None:
-        out += b.data
-
-    parents = (x, w) if b is None else (x, w, b)
-    need_dx, bias = x.requires_grad, b is not None
-
-    def tap(a, ki, kj):
-        """The (B, Ho, Wo, C) view of ``a`` read by kernel tap (ki, kj)."""
-        return a[:, ki : ki + ho * stride : stride, kj : kj + wo * stride : stride]
+    out += b.data
+    need_dx = x.requires_grad
 
     def input_grad(gg):
+        if not depthwise:
+            dcols = gg.reshape(n, cout) @ wt.reshape(k * k * cin, cout).T
+            dcols = dcols.reshape(bsz, ho, wo, k, k, cin)
         dxp = np.zeros_like(xp)
-        if depthwise:
-            for ki in range(k):
-                for kj in range(k):
-                    dst = tap(dxp, ki, kj)
-                    dst += gg * wt[ki, kj, 0]
-        else:
-            gm = gg.reshape(n, cout)
-            for gi in range(groups):
-                co = slice(gi * cout_g, (gi + 1) * cout_g)
-                dcols = (gm[:, co] @ wmat(gi).T).reshape(bsz, ho, wo, k, k, cin_g)
-                # col2im: scatter-add each tap's columns back into the padded input
-                for ki in range(k):
-                    for kj in range(k):
-                        dst = tap(dxp, ki, kj)[..., gi * cin_g : (gi + 1) * cin_g]
-                        dst += dcols[:, :, :, ki, kj]
+        for ki in range(k):
+            for kj in range(k):
+                # the (B, Ho, Wo, Cin) view of the padded input read by tap (ki, kj)
+                dst = dxp[:, ki : ki + ho * stride : stride, kj : kj + wo * stride : stride]
+                dst += gg * wt[ki, kj, 0] if depthwise else dcols[:, :, :, ki, kj]
         dx = dxp[:, padding : padding + h, padding : padding + wd_]
         return dx[0] if squeeze else dx
 
@@ -825,20 +797,14 @@ def conv2d(
         if depthwise:
             dwt = np.einsum("bhwijc,bhwc->ijc", win, gg)[:, :, None]
         else:
-            gm = gg.reshape(n, cout)
-            dwt = np.empty_like(wt)
-            for gi in range(groups):
-                co = slice(gi * cout_g, (gi + 1) * cout_g)
-                dwt[..., co] = (cols(gi).T @ gm[:, co]).reshape(k, k, cin_g, cout_g)
-        grads = [
+            dwt = (win.reshape(n, k * k * cin).T @ gg.reshape(n, cout)).reshape(k, k, cin, cout)
+        return (
             input_grad(gg) if need_dx else None,
             np.ascontiguousarray(dwt.transpose(3, 2, 0, 1)),
-        ]
-        if bias:
-            grads.append(_sum_leading(gg, 3))
-        return tuple(grads)
+            _sum_leading(gg, 3),
+        )
 
-    return _node(out[0] if squeeze else out, parents, vjp, "conv2d")
+    return _node(out[0] if squeeze else out, (x, w, b), vjp, "conv2d")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .tensor import Tensor
 
 STRIPE_PERIOD = 8
 IMAGE_SIDE = 64
+MAX_SAMPLES = (1 << 30) // (3 * IMAGE_SIDE**2 * 4)  # 21,845: 1 GiB of float32 images
 CLASS_NAMES = ("horizontal", "vertical", "checkerboard")
 
 
@@ -46,6 +47,8 @@ def make_synth(n: int, noise_sigma: float = 0.1, seed: int = 0) -> SynthDataset:
         raise ConfigError(f"need at least 3 samples for 3 classes, got {n}")
     if not 0 <= noise_sigma < math.inf:
         raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if n > MAX_SAMPLES:
+        raise ConfigError(f"at most {MAX_SAMPLES} samples fit in 1 GiB of images, got {n}")
     rng = np.random.default_rng(seed)
     half = STRIPE_PERIOD // 2
     coords = np.arange(IMAGE_SIDE)
@@ -165,6 +168,8 @@ def train_toy(model: Model, ds: SynthDataset, cfg: TrainConfig) -> list[HistoryR
             f"model head has {model.spec.num_classes} classes, dataset has "
             f"{len(CLASS_NAMES)}"
         )
+    if cfg.batch_size > len(ds):
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(ds)} samples")
     opt = _make_optimizer(model, cfg)
     rng = np.random.default_rng(cfg.seed)
     history: list[HistoryRow] = []

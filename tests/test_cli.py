@@ -145,7 +145,7 @@ class TestHostileValues:
         ("weight_decay", "nan"), ("weight_decay", "inf"), ("weight_decay", "-1"),
         ("label_smoothing", "7"), ("label_smoothing", "1"), ("label_smoothing", "-0.1"),
         ("label_smoothing", "nan"), ("noise_sigma", "-1"), ("noise_sigma", "nan"),
-        ("noise_sigma", "inf"),
+        ("noise_sigma", "inf"), ("samples", "100000000"),
     ])
     def test_train(self, tmp_path, capsys, monkeypatch, key, value):
         monkeypatch.setattr(cli, "Model", _refuse)
@@ -153,6 +153,13 @@ class TestHostileValues:
                      "--out-dir", str(tmp_path / "out"), "--" + key.replace("_", "-"), value])
         assert code == 1
         assert _one_line_usage_error(capsys.readouterr().err, key)
+        assert not (tmp_path / "out").exists()
+
+    def test_train_batch_larger_than_samples(self, tmp_path, capsys):
+        code = main(["train", "--variant", "tiny-narrow", "--steps", "1", "--samples", "3",
+                     "--batch-size", "5", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert _one_line_usage_error(capsys.readouterr().err, "batch_size")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode,key,value,word", [

@@ -7,6 +7,7 @@ from metavit.errors import ConfigError, TrainingDiverged
 from metavit.model import build_variant, variant
 from metavit.tensor import Tensor
 from metavit.trainer import (
+    MAX_SAMPLES,
     AdamWLite,
     SgdMomentum,
     TrainConfig,
@@ -15,6 +16,10 @@ from metavit.trainer import (
     make_synth,
     train_toy,
 )
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated before the sample count was checked")
 
 
 def toy_model(seed=0, **overrides):
@@ -55,6 +60,13 @@ class TestMakeSynth:
     def test_negative_or_non_finite_noise_rejected(self, sigma):
         with pytest.raises(ConfigError, match="noise_sigma"):
             make_synth(3, noise_sigma=sigma)
+
+    def test_more_than_one_gib_of_images_rejected_before_allocating(self, monkeypatch):
+        assert MAX_SAMPLES == 21845 and MAX_SAMPLES * 3 * 64 * 64 * 4 <= 1 << 30
+        monkeypatch.setattr(np, "empty", _refuse)
+        for n in (MAX_SAMPLES + 1, 100_000_000):
+            with pytest.raises(ConfigError, match="samples"):
+                make_synth(n)
 
 
 class TestTrainConfig:
@@ -104,7 +116,7 @@ class TestTrainToy:
     def test_zero_steps_history_empty_model_unchanged(self):
         model = toy_model()
         before = {k: v.data.copy() for k, v in model.parameters().items()}
-        history = train_toy(model, make_synth(6, 0.1, 0), TrainConfig(steps=0))
+        history = train_toy(model, make_synth(6, 0.1, 0), TrainConfig(steps=0, batch_size=6))
         assert history == []
         for k, v in model.parameters().items():
             assert np.array_equal(before[k], v.data)
@@ -126,6 +138,14 @@ class TestTrainToy:
         model = build_variant(variant("tiny-narrow", num_classes=5), 0)
         with pytest.raises(ConfigError):
             train_toy(model, make_synth(6, 0.1, 0), TrainConfig(steps=1))
+
+    def test_batch_larger_than_dataset_rejected_before_any_step(self):
+        model = toy_model()
+        before = {k: v.data.copy() for k, v in model.parameters().items()}
+        with pytest.raises(ConfigError, match="batch_size 5"):
+            train_toy(model, make_synth(3, 0.1, 0), TrainConfig(steps=1, batch_size=5))
+        for k, v in model.parameters().items():
+            assert np.array_equal(before[k], v.data)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_step(self):
