@@ -14,6 +14,7 @@ BLAS, or no ``/proc/self/maps``) nothing is pinned.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import statistics
 import time
@@ -36,6 +37,8 @@ _OPENBLAS_THREAD_SYMBOLS = tuple(
 
 MIN_ITERS = 30
 MIN_WARMUP = 10
+MAX_HIDDEN = (1 << 28) // 4  # (n + m) * d * e: 256 MiB of float32 FFN hidden values
+MAX_INPUT = 1024  # pixels per side; at 1024 the tiny stage-1 FFN hidden array is 64 MiB
 
 
 @dataclass
@@ -140,9 +143,14 @@ def bench_block_pair(
     _check_loop(iters, warmup)
     if e < 1:
         raise UsageError(f"feed-forward expansion must be >= 1, got {e}")
-    side = int(round(n ** 0.5))
-    if side * side != n:
-        raise UsageError(f"n={n} must be a perfect square to form a token grid")
+    side = math.isqrt(max(n, 0))
+    if n < 4 or side * side != n:
+        raise UsageError(f"n={n} must be a perfect square >= 4 to form a token grid")
+    if m < 2 or d < 1:
+        raise UsageError(f"need m >= 2 meta tokens and token width d >= 1, got m={m}, d={d}")
+    if (n + m) * d * e > MAX_HIDDEN:
+        raise UsageError(f"(n + m) * d * e = {(n + m) * d * e} feed-forward hidden values "
+                         f"exceed {MAX_HIDDEN}")
     store = ParamStore(seed)
     dca = DCABlock(store, "bench.dca", d, head_dim=min(32, d), expansion=e)
     sa = SABlock(store, "bench.sa", d, head_dim=min(32, d), expansion=e)
@@ -181,6 +189,10 @@ def bench_model(
     _check_loop(iters, warmup)
     if isinstance(input_hw, int):
         input_hw = (input_hw, input_hw)
+    for extent in input_hw:
+        if extent % 32 or not 64 <= extent <= MAX_INPUT:
+            raise UsageError(f"input extents must be multiples of 32 in [64, {MAX_INPUT}], "
+                             f"got {input_hw[0]}x{input_hw[1]}")
     model = Model(spec, seed)
     rng = np.random.default_rng(seed)
     img = rng.standard_normal((3,) + tuple(input_hw)).astype(np.float32)

@@ -362,6 +362,23 @@ class TestSoftmaxPaths:
         assert bool(shift_calls) == past and np.isfinite(out).all()
         assert_allclose(out, _merged_oracle(q, k, v, 1.0), rtol=1e-5 if dtype == np.float32 else 1e-12)
 
+    @pytest.mark.parametrize("n1,n2,bounded", [(5, 7, False), (7, 5, True), (5, 5, True)])
+    def test_bound_taken_only_without_fewer_queries_than_keys(self, rng, monkeypatch, shift_calls,
+                                                               n1, n2, bounded):
+        calls = []
+        bound = T._logits_bounded
+
+        def spy(*args):
+            calls.append(args[1].shape)
+            return bound(*args)
+
+        monkeypatch.setattr(T, "_logits_bounded", spy)
+        q, k = (rng.standard_normal((2, n, HEADS * C)).astype(np.float32) for n in (n1, n2))
+        v = rng.standard_normal((2, n2, HEADS * CV)).astype(np.float32)
+        out = _attend(q, k, v, 0.5, False)
+        assert bool(calls) == bounded and bool(shift_calls) != bounded
+        assert_allclose(out, _merged_oracle(q, k, v, 0.5), atol=1e-5)
+
     @pytest.mark.parametrize("dtype,keep", PATH_CASES)
     def test_rows_without_a_normal_term_shift(self, shift_calls, dtype, keep):
         # one key per row and every logit -b, with -ln(finfo.tiny) < b below the

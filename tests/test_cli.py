@@ -166,6 +166,11 @@ class TestHostileValues:
         ("pair", "e", "0", "expansion"), ("pair", "e", "-2", "expansion"),
         ("pair", "warmup", "-1", "warmup"), ("model", "warmup", "-1", "warmup"),
         ("pair", "iters", "0", "iterations"), ("model", "iters", "-1", "iterations"),
+        ("pair", "m", "-1", "meta"), ("pair", "m", "1", "meta"), ("pair", "n", "-16", "n="),
+        ("pair", "n", "1", "n="), ("pair", "d", "0", "width"), ("pair", "d", "-8", "width"),
+        ("pair", "n", str(1 << 30), "hidden"), ("pair", "e", str(1 << 40), "hidden"),
+        ("model", "input", "-64", "input"), ("model", "input", "0", "input"),
+        ("model", "input", "100", "input"), ("model", "input", str(1 << 20), "input"),
     ])
     def test_bench(self, tmp_path, capsys, monkeypatch, mode, key, value, word):
         monkeypatch.setattr(cli.bench_mod, "ParamStore", _refuse)

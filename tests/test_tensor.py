@@ -1,4 +1,5 @@
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -195,13 +196,54 @@ class TestGelu:
         assert (np.diff(y) > 0).all()
 
     def test_float32_within_2e6_of_exact(self):
-        # +-4 sqrt(2) is where the rational erf's argument is clipped
+        # +-4 sqrt(2) is where the Eigen/XLA rational erf clips its argument
         edge = 4 * math.sqrt(2)
         x = np.concatenate([np.linspace(-10, 10, 400_001), [-edge, edge]]).astype(np.float32)
         exact = T.gelu(Tensor(x, dtype=np.float64)).data  # scipy erf
         got = T.gelu(Tensor(x)).data
         assert got.dtype == np.float32
         assert np.abs(got - exact).max() < 2e-6
+
+    def test_float32_within_2e6_of_exact_on_random_points(self):
+        x = np.random.default_rng(15).uniform(-10, 10, 2_000_000).astype(np.float32)
+        leaves = [Tensor(x, dtype=dtype, requires_grad=True) for dtype in (np.float32, np.float64)]
+        got, exact = (T.gelu(leaf) for leaf in leaves)
+        assert np.abs(got.data - exact.data).max() < 2e-6
+        for out in (got, exact):
+            T.backward(T.sum_all(out))
+        assert leaves[0].grad.dtype == np.float32
+        assert_allclose(leaves[0].grad, leaves[1].grad, rtol=1e-6, atol=2e-6)
+
+    def test_float32_within_2e6_of_exact_far_left(self):
+        x = -np.logspace(1, 38, 20_001).astype(np.float32)
+        exact = T.gelu(Tensor(x, dtype=np.float64)).data
+        assert np.abs(T.gelu(Tensor(x)).data - exact).max() < 2e-6
+
+    def test_float32_non_finite_as_float64(self):
+        x = np.array([np.inf, -np.inf, np.nan], dtype=np.float32)
+        with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
+            got = T.gelu(Tensor(x)).data
+            want = T.gelu(Tensor(x, dtype=np.float64)).data
+        assert_allclose(got, want, rtol=0, atol=0)
+
+    def test_float32_normal_cdf_in_unit_interval(self):
+        big = np.logspace(-45, math.log10(np.finfo(np.float32).max), 20_001)
+        x = np.concatenate([-big[::-1], [0.0], big]).astype(np.float32)
+        phi = T._normal_cdf_float32(x)
+        assert phi.min() >= 0.0 and phi.max() <= 1.0
+        assert phi[0] == 0.0 and phi[-1] == 1.0
+
+    def test_float32_finite_inputs_raise_no_warning(self):
+        big = np.logspace(-45, math.log10(np.finfo(np.float32).max), 20_001)
+        x = np.concatenate([-big, [0.0], big]).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with T.no_grad():
+                T.gelu(Tensor(x))
+            leaf = Tensor(x, requires_grad=True)
+            weight = Tensor(1 / (1 + np.abs(x)))  # keeps the summed loss finite
+            T.backward(T.sum_all(T.mul(T.gelu(leaf), weight)))
+        assert np.isfinite(leaf.grad).all()
 
     def test_chunks_match_one_chunk(self, rng, monkeypatch):
         x = (rng.standard_normal((5, 9)) * 3).astype(np.float32)
