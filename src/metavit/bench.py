@@ -138,7 +138,9 @@ def bench_block_pair(
     """Forward-only latency of one dual cross-attention vs one standard block.
 
     Both blocks are freshly built from the same seed and fed the same random
-    token grid. Speedup is sa.median_s / dca.median_s.
+    token grid. Heads are 32 wide when 32 divides ``d``, and otherwise as
+    wide as the largest divisor of ``d`` below 32. Speedup is
+    sa.median_s / dca.median_s.
     """
     _check_loop(iters, warmup)
     if e < 1:
@@ -151,9 +153,10 @@ def bench_block_pair(
     if (n + m) * d * e > MAX_HIDDEN:
         raise UsageError(f"(n + m) * d * e = {(n + m) * d * e} feed-forward hidden values "
                          f"exceed {MAX_HIDDEN}")
+    head_dim = max(h for h in range(1, min(32, d) + 1) if d % h == 0)
     store = ParamStore(seed)
-    dca = DCABlock(store, "bench.dca", d, head_dim=min(32, d), expansion=e)
-    sa = SABlock(store, "bench.sa", d, head_dim=min(32, d), expansion=e)
+    dca = DCABlock(store, "bench.dca", d, head_dim=head_dim, expansion=e)
+    sa = SABlock(store, "bench.sa", d, head_dim=head_dim, expansion=e)
     rng = np.random.default_rng(seed)
     tokens = rng.standard_normal((n, d)).astype(np.float32)
     meta = rng.standard_normal((m, d)).astype(np.float32)

@@ -145,6 +145,8 @@ def _settings(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    if merged["seed"] < 0:
+        raise UsageError(f"seed must be >= 0, got {merged['seed']}")
     return merged
 
 

@@ -401,20 +401,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out.reshape(x.shape[:-1] + (n,)), (x, w, b), vjp, "linear")
 
 
+# softmax takes base-2 logits: 2 ** (x * log2(e)) = exp(x), and exp2 is the faster pass
+_LOG2_E = 1 / math.log(2)
+
+
 def _exp_numerators(x: np.ndarray) -> np.ndarray:
-    """Overwrite ``x`` with exp(x) and return the (..., 1) reciprocal sums
-    over its last axis that normalize it.
+    """Overwrite ``x``, logits in base 2, with 2 ** x and return the (..., 1)
+    reciprocal sums over its last axis that normalize it.
 
     The row sums are one GEMV against a ones vector, about twice as fast as
     ``ndarray.sum`` over the last axis.
     """
-    np.exp(x, out=x)
+    np.exp2(x, out=x)
     return 1.0 / (x @ np.ones(x.shape[-1], dtype=x.dtype))[..., None]
 
 
 def _softmax_numerators(x: np.ndarray) -> np.ndarray:
-    """Overwrite ``x`` with exp(x - rowmax) over its last axis and return the
-    reciprocal row sums of ``_exp_numerators``."""
+    """Overwrite ``x``, logits in base 2, with 2 ** (x - rowmax) over its last
+    axis and return the reciprocal row sums of ``_exp_numerators``."""
     x -= x.max(axis=-1, keepdims=True)
     return _exp_numerators(x)
 
@@ -428,7 +432,7 @@ def _softmax_grad_inplace(p: np.ndarray, d: np.ndarray) -> None:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, stabilized by max subtraction."""
-    out = x.data.copy()
+    out = x.data * _LOG2_E
     out *= _softmax_numerators(out)
 
     def vjp(g):
@@ -444,14 +448,15 @@ _TILE_ELEMENTS = 1 << 20
 
 
 def _logits_bounded(qh: np.ndarray, kh: np.ndarray, v: np.ndarray) -> bool:
-    """Whether exp may take the (..., H, N1, N2) logits of ``qh`` and ``kh``
-    without the row max subtracted.
+    """Whether exp2 may take the (..., H, N1, N2) base-2 logits of ``qh`` and
+    ``kh`` without the row max subtracted.
 
     By Cauchy-Schwarz every logit lies in [-b, b], with b the largest
     product of a query and a key row norm of one head. If
-    n2 * exp(b) * max(1, max|v|) <= finfo.max, no exp, row sum or entry of
-    ``exp(logits) @ v`` overflows; if exp(-b) >= finfo.tiny, every term is a
-    normal number, so no row sum underflows. A NaN or Inf anywhere makes b
+    n2 * 2**b * max(1, max|v|) <= finfo.max, no exp2, row sum or entry of
+    ``exp2(logits) @ v`` overflows; if 2**-b >= finfo.tiny, every term is a
+    normal number, so no row sum underflows. In float32 the limits are
+    128 - log2(n2 * max(1, max|v|)) and 126. A NaN or Inf anywhere makes b
     or the limit NaN or infinite, and the comparison False.
     """
     def sq_norm_max(a):  # per head; C order makes the max a contiguous pass
@@ -459,8 +464,8 @@ def _logits_bounded(qh: np.ndarray, kh: np.ndarray, v: np.ndarray) -> bool:
 
     b = math.sqrt((sq_norm_max(qh) * sq_norm_max(kh)).max(initial=0.0))
     info = np.finfo(qh.dtype)
-    reach = math.log(kh.shape[-2] * float(np.abs(v).max(initial=1.0)))
-    return b <= math.log(info.max) - reach and b <= -math.log(info.tiny)
+    reach = math.log2(kh.shape[-2] * float(np.abs(v).max(initial=1.0)))
+    return b <= math.log2(info.max) - reach and b <= -math.log2(info.tiny)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
@@ -476,17 +481,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     v, and the tile's (rows, Cv) output rows are then scaled by the
     reciprocal row sums, which costs 1/Cv of normalizing the N2-wide rows;
     a kept tile is normalized after its output is written, so the output
-    does not depend on whether probabilities are kept. The scale is folded
-    into a copy of the shorter of q and k on every call. With at least as
-    many queries as keys, when ``_logits_bounded`` shows from the folded
-    operands that exp cannot overflow or leave a row without a normal term,
-    each tile's logits go straight to exp; otherwise, and always with fewer
-    queries than keys (where the bound's passes over the N2 keys cost more
-    than the N1 x N2 row-max pass they save), each row's max is subtracted
-    first, which is the only difference between the two paths. Folding
-    before the shift can overflow a logit only where |q . k| exceeds
-    finfo.max / scale with scale > 1; at every site of the published
-    variants at 224 px the scale is below 1, at most 1/1.948. The only
+    does not depend on whether probabilities are kept. On every call the
+    fold factor scale * log2(e) goes into one copy, so the logits come out
+    in base 2 and exp2 replaces exp: with at least as many queries as keys
+    into a C-ordered (..., H, C, N2) copy of the keys, which the logit GEMM
+    reads as k^T, and otherwise into a copy of the queries. With at least
+    as many queries as keys, when ``_logits_bounded`` shows from the folded
+    operands that exp2 cannot overflow or leave a row without a normal
+    term, each tile's logits go straight to exp2; otherwise, and always
+    with fewer queries than keys (where the bound's passes over the N2 keys
+    cost more than the N1 x N2 row-max pass they save), each row's max is
+    subtracted first, which is the only difference between the two paths.
+    Folding before the shift can overflow a logit only where |q . k|
+    exceeds finfo.max / fold with a fold factor above 1; at every site of
+    the published variants at 224 px it is below 1, at most 0.741. The only
     N1 x N2 array is the (..., H, N1, N2) probability array, kept when a
     gradient is needed or ``return_attn`` asks for it. Otherwise one
     scratch tile of at most ``tile_elements`` values (one query row, if a
@@ -519,9 +527,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     batch = math.prod(lead)
     _count_macs(batch * n1 * n2 * (qh.shape[-1] + vh.shape[-1]))
     rows = max(1, tile_elements // (batch * n2))
-    qs, ks = (qh * scale, kh) if n1 <= n2 else (qh, kh * scale)
-    bounded = n1 >= n2 and _logits_bounded(qs, ks, vd)
-    kt = np.swapaxes(ks, -1, -2)
+    fold = scale * _LOG2_E
+    if n1 >= n2:
+        qs, kt = qh, np.multiply(np.swapaxes(kh, -1, -2), fold, order="C")
+    else:
+        qs, kt = qh * fold, np.swapaxes(kh, -1, -2)
+    bounded = n1 >= n2 and _logits_bounded(qs, np.swapaxes(kt, -1, -2), vd)
     out = np.empty(q.shape[:-1] + (v.shape[-1],), dtype=q.dtype)
     outh = split(out)
     keep = return_attn or _recording((q, k, v))

@@ -12,7 +12,10 @@ from metavit.attention import (
     multi_head_attention,
 )
 from metavit import tensor as T
+from metavit.blocks import BLOCKS
+from metavit.complexity import count_model
 from metavit.errors import ConfigError, DimensionError
+from metavit.model import variant
 from metavit.tensor import Graph, MacCounter, Tensor
 
 
@@ -377,6 +380,7 @@ class TestSoftmaxPaths:
         v = rng.standard_normal((2, n2, HEADS * CV)).astype(np.float32)
         out = _attend(q, k, v, 0.5, False)
         assert bool(calls) == bounded and bool(shift_calls) != bounded
+        assert all(shape == (2, HEADS, n2, C) for shape in calls)
         assert_allclose(out, _merged_oracle(q, k, v, 0.5), atol=1e-5)
 
     @pytest.mark.parametrize("dtype,keep", PATH_CASES)
@@ -407,6 +411,47 @@ class TestSoftmaxPaths:
         assert shift_calls and np.isnan(out).any()
         # NaN exactly where the oracle has NaN: one row, every row or one column of head 0
         assert_allclose(out, want, atol=1e-5 if dtype == np.float32 else 1e-12)
+
+
+    @pytest.mark.parametrize("name", ["tiny", "small", "base"])
+    def test_fold_factor_below_one_at_every_published_site(self, name):
+        # the logits are folded before any shift, so a fold factor below 1
+        # means the folded logits never exceed |q . k|
+        spec = variant(name)
+        folds = []
+        for row in count_model(spec, 224).entries:
+            if row.kind in BLOCKS:
+                tokens = {"img": row.n, "meta": row.m}
+                folds += [T._LOG2_E / entropy_scale(tokens[s], tokens[src], spec.head_dim)
+                          for s, src in BLOCKS[row.kind].route.branches]
+        assert len(folds) > 10 and max(folds) < 1
+        # the largest is meta <- image in stage 1: (16, 3136) at head width 32
+        assert max(folds) == pytest.approx(math.log2(math.e) / entropy_scale(16, 3136, 32))
+        assert max(folds) == pytest.approx(0.7406, abs=1e-4)
+
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_float32_at_large_n_against_float64(self, rng, monkeypatch, shift_calls,
+                                                bounded, keep):
+        # N1 = N2 = 1024 with 2 heads of 32: two tiles of 512 query rows, and
+        # logits with a spread of about 3 so that exp2 spans a wide range
+        n, c = 1024, 32
+        q = (3 * rng.standard_normal((n, HEADS * c))).astype(np.float32)
+        k, v = (rng.standard_normal((n, HEADS * c)).astype(np.float32) for _ in range(2))
+        if not bounded:
+            monkeypatch.setattr(T, "_logits_bounded", lambda *args: False)
+        divisor = entropy_scale(n, n, c)
+        got = T.attention(Tensor(q), Tensor(k), Tensor(v), 1 / divisor, heads=HEADS,
+                          return_attn=keep)
+        if keep:
+            got, probs = got
+            assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-5)
+        assert bool(shift_calls) != bounded and got.dtype == np.float32
+        qh, kh, vh = (_heads(a).astype(np.float64) for a in (q, k, v))
+        logits = qh @ np.swapaxes(kh, -1, -2) / divisor
+        w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        want = np.swapaxes((w / w.sum(axis=-1, keepdims=True)) @ vh, 0, 1).reshape(n, -1)
+        assert_allclose(got.data, want, atol=1e-5)
 
 
 def _identity_params(dim: int) -> MhaParams:

@@ -183,6 +183,22 @@ class TestHostileValues:
         assert not (tmp_path / "bench.csv").exists()
 
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_negative_seed(self, capsys, monkeypatch, command):
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, name, _refuse)
+        assert main([command, "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and _one_line_usage_error(err, "seed")
+
+    def test_negative_seed_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -3\n")
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and _one_line_usage_error(err, "-3")
+
+
 class TestAnalyze:
     def test_prints_seed_and_report(self, capsys):
         code = main(["analyze", "--variant", "tiny", "--input", "224",
@@ -215,6 +231,22 @@ class TestBenchAndGradcheck:
         text = (tmp_path / "bench.csv").read_text()
         assert text.splitlines()[0].startswith("case,n,m,d,warmup,iters,median_s")
         assert len(text.strip().splitlines()) == 3  # header + dca + sa
+
+    @pytest.mark.parametrize("d,head_dim", [(48, 24), (40, 20), (20, 20), (64, 32), (96, 32)])
+    def test_bench_pair_head_width_divides_d(self, tmp_path, capsys, monkeypatch, d, head_dim):
+        widths = []
+        for kind in ("DCABlock", "SABlock"):
+            block = getattr(cli.bench_mod, kind)
+
+            def spy(*args, block=block, **kwargs):
+                widths.append(kwargs["head_dim"])
+                return block(*args, **kwargs)
+
+            monkeypatch.setattr(cli.bench_mod, kind, spy)
+        code = main(["bench", "--mode", "pair", "--n", "16", "--m", "4", "--d", str(d),
+                     "--iters", "30", "--warmup", "0", "--out-dir", str(tmp_path)])
+        assert code == 0 and widths == [head_dim, head_dim]
+        assert (tmp_path / "bench.csv").exists()
 
     def test_bench_iters_guard_is_usage_error(self, capsys):
         assert main(["bench", "--mode", "pair", "--n", "64", "--iters", "5"]) == 1
