@@ -28,13 +28,16 @@ import struct
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .model import Model, VariantSpec, variant_names, _REGISTRY
+from .model import Model, VariantSpec, variant, variant_names
 
 MAGIC = b"LMVT"
 VERSION = 1
 DTYPE_F32 = 0
 
 _CONFIG_PREFIX = "config/"
+# the VariantSpec fields stored in config/scalars and config/toggles, in record order
+_SCALARS = ("meta_len", "meta_dim0", "head_dim", "expansion", "cpe_kernel", "num_classes")
+_TOGGLES = ("use_ca_stage", "use_meta_stem", "use_meta_pooling", "dca_sequential")
 
 
 def write_record(f, name: str, arr: np.ndarray) -> None:
@@ -130,20 +133,13 @@ def load_tensors(path: str) -> dict[str, np.ndarray]:
 
 
 def _config_tensors(spec: VariantSpec) -> dict[str, np.ndarray]:
-    return {
-        _CONFIG_PREFIX + "blocks": np.array(spec.blocks, dtype=np.float32),
-        _CONFIG_PREFIX + "dims": np.array(spec.dims, dtype=np.float32),
-        _CONFIG_PREFIX + "scalars": np.array(
-            [spec.meta_len, spec.meta_dim0, spec.head_dim, spec.expansion,
-             spec.cpe_kernel, spec.num_classes],
-            dtype=np.float32,
-        ),
-        _CONFIG_PREFIX + "toggles": np.array(
-            [spec.use_ca_stage, spec.use_meta_stem, spec.use_meta_pooling,
-             spec.dca_sequential],
-            dtype=np.float32,
-        ),
+    records = {
+        "blocks": spec.blocks,
+        "dims": spec.dims,
+        "scalars": [getattr(spec, field) for field in _SCALARS],
+        "toggles": [getattr(spec, field) for field in _TOGGLES],
     }
+    return {_CONFIG_PREFIX + k: np.array(v, dtype=np.float32) for k, v in records.items()}
 
 
 def _config_ints(cfg: dict[str, np.ndarray], key: str, toggles: bool = False) -> list[int]:
@@ -164,33 +160,16 @@ def _spec_from_config(cfg: dict[str, np.ndarray]) -> VariantSpec:
     dims = tuple(_config_ints(cfg, "dims"))
     scalars = _config_ints(cfg, "scalars")
     toggles = [bool(x) for x in _config_ints(cfg, "toggles", toggles=True)]
-    if len(scalars) != 6 or len(toggles) != 4:
+    if len(scalars) != len(_SCALARS) or len(toggles) != len(_TOGGLES):
         raise FormatError(
-            f"checkpoint config needs 6 scalars and 4 toggles, got "
-            f"{len(scalars)} and {len(toggles)}"
+            f"checkpoint config needs {len(_SCALARS)} scalars and {len(_TOGGLES)} toggles, "
+            f"got {len(scalars)} and {len(toggles)}"
         )
-    name = "custom"
-    for known in variant_names():
-        row = _REGISTRY[known]
-        if row.blocks == blocks and row.dims == dims:
-            name = known
-            break
+    name = next((known for known in variant_names()
+                 if (variant(known).blocks, variant(known).dims) == (blocks, dims)), "custom")
     try:
-        return VariantSpec(
-            name,
-            blocks,
-            dims,
-            meta_len=scalars[0],
-            meta_dim0=scalars[1],
-            head_dim=scalars[2],
-            expansion=scalars[3],
-            cpe_kernel=scalars[4],
-            num_classes=scalars[5],
-            use_ca_stage=toggles[0],
-            use_meta_stem=toggles[1],
-            use_meta_pooling=toggles[2],
-            dca_sequential=toggles[3],
-        )
+        return VariantSpec(name, blocks, dims, **dict(zip(_SCALARS, scalars)),
+                           **dict(zip(_TOGGLES, toggles)))
     except ConfigError as exc:
         raise FormatError(f"checkpoint config is invalid: {exc}") from None
 

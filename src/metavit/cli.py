@@ -125,7 +125,7 @@ def _build_parser() -> _Parser:
          "use_ca_stage", "use_meta_stem", "use_meta_pooling", "seed"])
     add("bench", "time dual cross-attention against standard attention",
         ["mode", "n", "m", "d", "e", "iters", "warmup", "variant", "input",
-         "seed", "out_dir", "format"])
+         "seed", "out_dir"])
     add("gradcheck", "verify gradients against finite differences", ["seed"])
     add("train", "train the toy classifier on synthetic patterns",
         ["variant", "steps", "batch_size", "lr", "optimizer", "weight_decay",
@@ -192,6 +192,7 @@ def cmd_bench(settings) -> int:
     mode = settings["mode"]
     if mode not in ("pair", "model", "both"):
         raise UsageError(f"bench mode must be pair, model, or both, got {mode!r}")
+    os.makedirs(settings["out_dir"], exist_ok=True)
     results = []
     if mode in ("pair", "both"):
         dca, sa = bench_mod.bench_block_pair(

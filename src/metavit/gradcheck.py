@@ -72,11 +72,13 @@ def fd_check(loss_fn, leaves: list[Tensor], sample: int | None = None,
 
 
 def _weighted_sum(*outputs, seed: int = 7) -> Tensor:
+    """sum(out * w) over ``outputs`` with fixed random weights, each term one
+    ``linear`` of the flattened output against a (size, 1) weight column."""
     rng = np.random.default_rng(seed)
     total = None
     for out in outputs:
-        w = Tensor(rng.standard_normal(out.shape))
-        term = T.sum_all(T.mul(out, w))
+        w = Tensor(rng.standard_normal((out.size, 1)))
+        term = T.linear(T.reshape(out, (1, out.size)), w, Tensor(np.zeros(1)))
         total = term if total is None else T.add(total, term)
     return total
 
@@ -148,12 +150,13 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
         "linear-rank3", fd_check(lambda: _weighted_sum(T.linear(xl, wl, bl)), [xl, wl, bl])
     ))
 
-    # one non-leaf read by three ops; sum_all's read-only broadcast view reaches it first
+    # one non-leaf read by three ops; backward reaches the consumer of the first
+    # output first, so global_avg_pool's read-only broadcast view is h's first gradient
     xf, wf = leaf(3, 4), leaf(4, 2)
 
     def fan_in():
         h = T.gelu(xf)
-        return T.add(T.sum_all(h), _weighted_sum(T.matmul(h, wf), h))
+        return _weighted_sum(T.global_avg_pool(h), T.linear(h, wf, Tensor(np.zeros(2))), h)
 
     cases.append(CheckCase("fan-in", fd_check(fan_in, [xf, wf])))
 

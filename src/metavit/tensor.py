@@ -145,13 +145,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, op={self.op})"
 
 
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _recording(parents) -> bool:
     """Whether an op on ``parents`` records a graph node."""
     return _grad_enabled() and any(p.requires_grad for p in parents)
@@ -272,9 +265,7 @@ def zero_grads(tensors) -> None:
 # elementwise and shape kernels
 
 
-def add(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     sa, sb = a.shape, b.shape
 
@@ -282,18 +273,6 @@ def add(a, b) -> Tensor:
         return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _node(out, (a, b), vjp, "add")
-
-
-def mul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    ad, bd = a.data, b.data
-    out = ad * bd
-
-    def vjp(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return _node(out, (a, b), vjp, "mul")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -315,16 +294,6 @@ def permute(a: Tensor, axes) -> Tensor:
         return (g.transpose(inverse),)
 
     return _node(out, (a,), vjp, "permute")
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum(), dtype=a.dtype)
-    shape = a.shape
-
-    def vjp(g):
-        return (np.broadcast_to(g, shape),)
-
-    return _node(out, (a,), vjp, "sum")
 
 
 def broadcast_to_batch(a: Tensor, batch: int) -> Tensor:
@@ -349,8 +318,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     shared weight matrices). Backward: dA = dC.B^T, dB = A^T.dC, with batch
     reduction when an operand was unbatched.
     """
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:

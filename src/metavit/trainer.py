@@ -67,9 +67,12 @@ def make_synth(n: int, noise_sigma: float = 0.1, seed: int = 0) -> SynthDataset:
             pattern = sy[:, None] * sx[None, :]
         img = np.broadcast_to(pattern, (3, IMAGE_SIDE, IMAGE_SIDE)).astype(np.float32)
         if noise_sigma:
-            img = img + rng.normal(0.0, noise_sigma, img.shape).astype(np.float32)
+            with np.errstate(over="ignore"):  # a draw past float32's range becomes inf
+                img = img + rng.normal(0.0, noise_sigma, img.shape).astype(np.float32)
         images[i] = img
         labels[i] = label
+    if not np.isfinite(images).all():
+        raise ConfigError(f"noise_sigma {noise_sigma} makes images past float32's range")
     return SynthDataset(images, labels, noise_sigma, seed)
 
 

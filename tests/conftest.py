@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
+from metavit import tensor as T
 from metavit.blocks import ParamStore
 from metavit.checkpoint import load_tensors, save_tensors
+from metavit.tensor import Tensor
+
+
+def weighted_sum(y: Tensor, weight=1.0) -> Tensor:
+    """The scalar loss sum(y * weight) as one graph: y flattened to (1, size)
+    through ``reshape``, then ``linear`` against weight as a (size, 1) column
+    of y's dtype and a zero bias. ``weight`` broadcasts to y's shape."""
+    w = np.broadcast_to(np.asarray(weight, dtype=y.dtype), y.shape).reshape(-1, 1)
+    return T.linear(T.reshape(y, (1, y.size)), Tensor(w), Tensor(np.zeros(1, dtype=y.dtype)))
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import naive_attention
+from conftest import naive_attention, weighted_sum
 from metavit.attention import (
     AttentionConfig,
     MhaParams,
@@ -141,10 +141,13 @@ def _budget(batch, n2, rows):
 
 
 def _composed(q, k, v, scale):
-    """The op sequence ``tensor.attention`` fuses, as separate graph nodes."""
+    """The op sequence ``tensor.attention`` fuses, as separate graph nodes;
+    the logits are scaled by a ``linear`` against scale * I."""
     axes = list(range(k.ndim))
     axes[-1], axes[-2] = axes[-2], axes[-1]
-    logits = T.mul(T.matmul(q, T.permute(k, axes)), scale)
+    n2 = k.shape[-2]
+    logits = T.linear(T.matmul(q, T.permute(k, axes)), Tensor(scale * np.eye(n2)),
+                      Tensor(np.zeros(n2)))
     return T.matmul(T.softmax_rows(logits), v)
 
 
@@ -200,33 +203,34 @@ class TestFusedAttentionOp:
 
     def test_gradients_match_composed_ops(self, rng):
         leaves = [rng.standard_normal((2, 2, n, 4)) for n in (7, 5, 5)]
-        weight = Tensor(rng.standard_normal((2, 2, 7, 4)))
+        weight = rng.standard_normal((2, 2, 7, 4))
         fused = lambda q, k, v, scale: T.attention(q, k, v, scale, tile_elements=_budget(4, 5, 3))
         grads = []
         for fn in (_composed, fused):
             q, k, v = (Tensor(a, requires_grad=True) for a in leaves)
-            T.backward(T.sum_all(T.mul(fn(q, k, v, 0.7), weight)))
+            T.backward(weighted_sum(fn(q, k, v, 0.7), weight))
             grads.append([t.grad for t in (q, k, v)])
         for fused, composed in zip(*grads[::-1]):
             assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
 
     def test_incoming_gradient_is_not_written(self, rng):
-        # sum_all hands its read-only broadcast_to view straight to the op's VJP
+        # global_avg_pool hands its read-only broadcast_to view straight to the op's VJP
         q, k, v = (Tensor(rng.standard_normal((2, n, 4)), requires_grad=True) for n in (6, 4, 4))
-        T.backward(T.sum_all(T.attention(q, k, v, 0.5, tile_elements=_budget(2, 4, 2))))
+        out = T.attention(q, k, v, 0.5, tile_elements=_budget(2, 4, 2))
+        T.backward(weighted_sum(T.global_avg_pool(out)))
         assert all(np.isfinite(t.grad).all() for t in (q, k, v))
 
     def test_returned_maps_survive_backward(self, rng):
         q, k, v = (Tensor(rng.standard_normal((3, n, 4)), requires_grad=True) for n in (5, 4, 4))
         out, probs = T.attention(q, k, v, 0.5, return_attn=True, tile_elements=_budget(3, 4, 2))
         before = probs.copy()
-        T.backward(T.sum_all(T.mul(out, Tensor(rng.standard_normal(out.shape)))))
+        T.backward(weighted_sum(out, rng.standard_normal(out.shape)))
         assert np.array_equal(probs, before)
 
     @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_heads_match_split_attend_merge(self, rng, dtype, atol):
         leaves = [rng.standard_normal((2, n, 3 * c)).astype(dtype) for n, c in ((7, 4), (5, 4), (5, 3))]
-        weight = Tensor(rng.standard_normal((2, 7, 9)).astype(dtype))
+        weight = rng.standard_normal((2, 7, 9)).astype(dtype)
         budget = _budget(2 * 3, 5, 2)  # 2 query rows per tile: tiles of 2, 2, 2 and 1 rows
         runs = []
         for fused in (False, True):
@@ -236,7 +240,7 @@ class TestFusedAttentionOp:
                                          tile_elements=budget)
             else:
                 out, probs = _split_attend_merge(q, k, v, 0.7, 3, budget)
-            T.backward(T.sum_all(T.mul(out, weight)))
+            T.backward(weighted_sum(out, weight))
             runs.append((out.data, probs, [t.grad for t in (q, k, v)]))
         (want, want_probs, want_grads), (got, got_probs, got_grads) = runs
         assert got.shape == (2, 7, 9) and got_probs.shape == (2, 3, 7, 5)

@@ -145,8 +145,10 @@ class TestHostileValues:
         ("weight_decay", "nan"), ("weight_decay", "inf"), ("weight_decay", "-1"),
         ("label_smoothing", "7"), ("label_smoothing", "1"), ("label_smoothing", "-0.1"),
         ("label_smoothing", "nan"), ("noise_sigma", "-1"), ("noise_sigma", "nan"),
-        ("noise_sigma", "inf"), ("samples", "100000000"),
+        ("noise_sigma", "inf"), ("noise_sigma", "1e38"), ("noise_sigma", "1e300"),
+        ("samples", "100000000"),
     ])
+    @pytest.mark.filterwarnings("error")  # an overflowing noise draw must not warn either
     def test_train(self, tmp_path, capsys, monkeypatch, key, value):
         monkeypatch.setattr(cli, "Model", _refuse)
         code = main(["train", "--variant", "tiny-narrow", "--steps", "1", "--samples", "3",
@@ -247,6 +249,19 @@ class TestBenchAndGradcheck:
                      "--iters", "30", "--warmup", "0", "--out-dir", str(tmp_path)])
         assert code == 0 and widths == [head_dim, head_dim]
         assert (tmp_path / "bench.csv").exists()
+
+    def test_bench_creates_missing_out_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "missing" / "dir"
+        code = main(["bench", "--mode", "pair", "--n", "16", "--m", "4", "--d", "16",
+                     "--iters", "30", "--warmup", "0", "--out-dir", str(out_dir)])
+        assert code == 0
+        assert (out_dir / "bench.csv").exists()
+
+    def test_bench_has_no_format_flag(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "bench", _refuse)
+        assert main(["bench", "--format", "csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and _one_line_usage_error(err, "--format")
 
     def test_bench_iters_guard_is_usage_error(self, capsys):
         assert main(["bench", "--mode", "pair", "--n", "64", "--iters", "5"]) == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import naive_conv2d, naive_matmul
+from conftest import naive_conv2d, naive_matmul, weighted_sum
 from metavit import tensor as T
 from metavit.errors import ContractError, DimensionError
 from metavit.tensor import Graph, MacCounter, Tensor
@@ -59,7 +59,7 @@ class TestMatmul:
 class TestLinear:
     def test_rank3_matches_reshape_matmul_reshape_add(self, rng):
         arrays = [rng.standard_normal(shape) for shape in ((2, 5, 4), (4, 3), (3,))]
-        weight = Tensor(rng.standard_normal((2, 5, 3)))
+        weight = rng.standard_normal((2, 5, 3))
         runs = []
         for fused in (True, False):
             x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
@@ -67,7 +67,7 @@ class TestLinear:
                 y = T.linear(x, w, b)
             else:
                 y = T.add(T.reshape(T.matmul(T.reshape(x, (10, 4)), w), (2, 5, 3)), b)
-            T.backward(T.sum_all(T.mul(y, weight)))
+            T.backward(weighted_sum(y, weight))
             runs.append((y.data, [t.grad for t in (x, w, b)]))
         (got, got_grads), (want, want_grads) = runs
         assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -163,7 +163,7 @@ class TestLayerNorm:
         grads = []
         for dtype in (np.float32, np.float64):
             leaves = [Tensor(a, dtype=dtype, requires_grad=True) for a in arrays]
-            T.backward(T.sum_all(T.mul(T.layer_norm(*leaves), Tensor(weight, dtype=dtype))))
+            T.backward(weighted_sum(T.layer_norm(*leaves), weight))
             grads.append([t.grad for t in leaves])
         for g32, g64 in zip(*grads):
             assert g32.dtype == np.float32
@@ -210,7 +210,7 @@ class TestGelu:
         got, exact = (T.gelu(leaf) for leaf in leaves)
         assert np.abs(got.data - exact.data).max() < 2e-6
         for out in (got, exact):
-            T.backward(T.sum_all(out))
+            T.backward(weighted_sum(out))
         assert leaves[0].grad.dtype == np.float32
         assert_allclose(leaves[0].grad, leaves[1].grad, rtol=1e-6, atol=2e-6)
 
@@ -241,8 +241,8 @@ class TestGelu:
             with T.no_grad():
                 T.gelu(Tensor(x))
             leaf = Tensor(x, requires_grad=True)
-            weight = Tensor(1 / (1 + np.abs(x)))  # keeps the summed loss finite
-            T.backward(T.sum_all(T.mul(T.gelu(leaf), weight)))
+            weight = 1 / (1 + np.abs(x))  # keeps the summed loss finite
+            T.backward(weighted_sum(T.gelu(leaf), weight))
         assert np.isfinite(leaf.grad).all()
 
     def test_chunks_match_one_chunk(self, rng, monkeypatch):
@@ -258,7 +258,7 @@ class TestGelu:
         grads = []
         for dtype in (np.float32, np.float64):
             leaf = Tensor(x, dtype=dtype, requires_grad=True)
-            T.backward(T.sum_all(T.mul(T.gelu(leaf), Tensor(weight, dtype=dtype))))
+            T.backward(weighted_sum(T.gelu(leaf), weight))
             grads.append(leaf.grad)
         assert grads[0].dtype == np.float32
         assert_allclose(grads[0], grads[1], rtol=1e-6, atol=2e-6)
@@ -279,7 +279,7 @@ class TestGelu:
         want += T._normal_cdf_float32(x)
         want *= g
         leaf = Tensor(x, requires_grad=True)
-        T.backward(T.sum_all(T.mul(T.gelu(leaf), Tensor(g))))
+        T.backward(weighted_sum(T.gelu(leaf), g))
         assert leaf.grad.dtype == np.float32
         assert np.array_equal(leaf.grad, want)
 
@@ -386,16 +386,10 @@ class TestGlobalAvgPool:
 
 
 class TestBackward:
-    def test_sum_of_squares(self):
-        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        loss = T.sum_all(T.mul(x, x))
-        T.backward(loss)
-        assert_allclose(x.grad, [2.0, -4.0, 6.0])
-
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            T.backward(T.mul(x, x))
+            T.backward(T.add(x, x))
 
     def test_matmul_chain_finite_differences(self, rng):
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -403,7 +397,7 @@ class TestBackward:
         w = rng.standard_normal((3, 2))
 
         def loss_fn():
-            return T.sum_all(T.mul(T.matmul(a, b), Tensor(w)))
+            return weighted_sum(T.matmul(a, b), w)
 
         loss = loss_fn()
         T.backward(loss)
@@ -435,18 +429,18 @@ class TestBackward:
         assert_allclose(logits.grad, (p - onehot) / 4, atol=1e-8)
 
     def test_each_op_visited_once(self, rng):
-        # diamond: y = x*x used twice; gradient must accumulate once per use
+        # diamond: y = x+x used twice; gradient must accumulate once per use
         x = Tensor([2.0], requires_grad=True)
-        y = T.mul(x, x)
-        loss = T.sum_all(T.add(y, y))
+        y = T.add(x, x)
+        loss = weighted_sum(T.add(y, y))
         graph = Graph.trace(loss)
         assert len(set(id(n) for n in graph.nodes)) == len(graph.nodes)
         T.backward(loss)
-        assert_allclose(x.grad, [8.0])
+        assert_allclose(x.grad, [4.0])
 
     def test_grads_populated_on_all_leaves(self, rng):
         leaves = [Tensor(rng.standard_normal((2, 2)), requires_grad=True) for _ in range(3)]
-        loss = T.sum_all(T.matmul(T.add(leaves[0], leaves[1]), leaves[2]))
+        loss = weighted_sum(T.matmul(T.add(leaves[0], leaves[1]), leaves[2]))
         T.backward(loss)
         assert all(leaf.grad is not None for leaf in leaves)
 
@@ -455,7 +449,7 @@ class TestBackward:
         w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         gamma, beta = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4))
         h = T.gelu(T.linear(x, w, Tensor(np.zeros(4))))
-        loss = T.sum_all(T.layer_norm(T.add(h, h), gamma, beta))
+        loss = weighted_sum(T.layer_norm(T.add(h, h), gamma, beta))
         nodes = list(Graph.trace(loss).nodes)
         inner = [n for n in nodes if isinstance(n, T.Node)]
         assert len(inner) >= 5 and all(n.vjp is not None for n in inner)
@@ -466,7 +460,7 @@ class TestBackward:
 
     def test_second_backward_through_used_graph_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = T.sum_all(T.mul(x, x))
+        loss = weighted_sum(x, [2.0, 4.0])
         T.backward(loss)
         with pytest.raises(ContractError):
             T.backward(loss)
@@ -478,7 +472,7 @@ class TestBackward:
         unread = T.gelu(T.matmul(x, w))  # feeds layer_norm, whose VJP keeps only xhat
         read = T.gelu(T.matmul(x, w))  # feeds linear, whose VJP keeps its input rows
         normed = T.layer_norm(unread, Tensor(np.ones(16)), Tensor(np.zeros(16)))
-        loss = T.sum_all(T.add(normed, T.linear(read, w, Tensor(np.zeros(16)))))
+        loss = weighted_sum(T.add(normed, T.linear(read, w, Tensor(np.zeros(16)))))
         unread_buffer, read_buffer = (
             weakref.ref(t.data if t.data.base is None else t.data.base) for t in (unread, read)
         )
@@ -492,7 +486,7 @@ class TestBackward:
     def test_leaf_grads_private_when_vjp_returns_one_array_twice(self, rng):
         a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        T.backward(T.sum_all(T.add(a, b)))
+        T.backward(weighted_sum(T.add(a, b)))
         assert a.grad is not b.grad
         assert a.grad.flags.writeable and b.grad.flags.writeable
         a.grad += 1.0
@@ -500,30 +494,32 @@ class TestBackward:
         assert_allclose(b.grad, np.ones((2, 3)))
 
     def test_leaf_grad_from_broadcast_view_is_owned(self):
+        # global_avg_pool's VJP returns a read-only broadcast_to view
         x = Tensor(np.zeros((3, 2)), requires_grad=True)
-        T.backward(T.sum_all(x))
+        T.backward(weighted_sum(T.global_avg_pool(x), 3.0))
         assert x.grad.flags.writeable and x.grad.flags.owndata
         assert_allclose(x.grad, np.ones((3, 2)))
 
     def test_leaf_keeps_its_dtype(self):
-        x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
-        w = Tensor(np.array([3.0, -4.0]), dtype=np.float64)
-        once = T.mul(x, w)
+        x = Tensor(np.array([[1.0, 2.0]], dtype=np.float32), requires_grad=True)
+        w = Tensor(np.array([[3.0], [-4.0]]), dtype=np.float64)
+        b = Tensor(np.zeros(1), dtype=np.float64)
+        once = T.linear(x, w, b)
         assert once.dtype == np.float64
-        T.backward(T.sum_all(once))
+        T.backward(once)
         assert x.grad.dtype == np.float32
-        assert_allclose(x.grad, [3.0, -4.0])
+        assert_allclose(x.grad, [[3.0, -4.0]])
         x.grad = None
-        T.backward(T.sum_all(T.add(T.mul(x, w), T.mul(x, w))))  # accumulated twice
+        T.backward(T.add(T.linear(x, w, b), T.linear(x, w, b)))  # accumulated twice
         assert x.grad.dtype == np.float32
-        assert_allclose(x.grad, [6.0, -8.0])
+        assert_allclose(x.grad, [[6.0, -8.0]])
 
 
 class TestNoGradAndMeters:
     def test_no_grad_skips_recording(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with T.no_grad():
-            y = T.mul(x, x)
+            y = T.add(x, x)
         assert y.node is None and y.op == "leaf" and not y.requires_grad
 
     def test_mac_counter_counts_matmul(self):

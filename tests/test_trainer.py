@@ -56,7 +56,8 @@ class TestMakeSynth:
         with pytest.raises(ConfigError):
             make_synth(2)
 
-    @pytest.mark.parametrize("sigma", [-1.0, -1e-9, math.nan, math.inf])
+    @pytest.mark.filterwarnings("error")  # noise that overflows float32 must not warn either
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-9, math.nan, math.inf, 1e38, 1e300])
     def test_negative_or_non_finite_noise_rejected(self, sigma):
         with pytest.raises(ConfigError, match="noise_sigma"):
             make_synth(3, noise_sigma=sigma)
