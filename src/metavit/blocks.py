@@ -42,7 +42,6 @@ from .attention import AttentionConfig, MhaParams, multi_head_attention
 from .errors import ConfigError, ContractError, InputError
 from .tensor import Tensor
 
-LN_EPS = 1e-5
 INIT_STD = 0.02
 
 
@@ -144,7 +143,7 @@ class LayerNormParams:
         self.beta = store.zeros(f"{name}.b", (dim,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, LN_EPS)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class FeedForward:
@@ -174,9 +173,7 @@ class Cpe:
             raise ContractError(
                 f"cpe needs a grid of at least 2x2 tokens, got {grid.height}x{grid.width}"
             )
-        conv = T.conv2d(
-            grid.image(), self.w, self.b, padding=self.kernel // 2, groups=grid.dim
-        )
+        conv = T.conv2d(grid.image(), self.w, self.b, padding=self.kernel // 2)
         pos = TokenGrid.from_image(conv).tokens
         return TokenGrid(T.add(grid.tokens, pos), grid.height, grid.width)
 

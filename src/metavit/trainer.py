@@ -199,13 +199,23 @@ def train_toy(model: Model, ds: SynthDataset, cfg: TrainConfig) -> list[HistoryR
 
 
 def evaluate(model: Model, ds: SynthDataset, batch_size: int = 64) -> float:
-    """Argmax-logit accuracy over the dataset; leaves the model untouched."""
+    """Argmax-logit accuracy over the dataset; leaves the model untouched.
+
+    Raises ``TrainingDiverged`` if any logit is NaN or infinite, which is
+    how a last optimizer step that broke the weights shows; the forwards
+    run with numpy's overflow and invalid-value warnings silenced, since
+    that check reports them.
+    """
     correct = 0
-    with T.no_grad():
+    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(ds), batch_size):
             stop = min(start + batch_size, len(ds))
-            logits = model.forward_classify(Tensor(ds.images[start:stop]))
-            correct += int((logits.data.argmax(axis=-1) == ds.labels[start:stop]).sum())
+            logits = model.forward_classify(Tensor(ds.images[start:stop])).data
+            if not np.isfinite(logits).all():
+                raise TrainingDiverged(
+                    f"evaluation got non-finite logits for samples {start}..{stop - 1}"
+                )
+            correct += int((logits.argmax(axis=-1) == ds.labels[start:stop]).sum())
     return correct / len(ds)
 
 

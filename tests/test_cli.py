@@ -285,6 +285,17 @@ class TestTrainInferAttmap:
         out = capsys.readouterr().out
         assert "seed: 0" in out and "train accuracy" in out
 
+    @pytest.mark.parametrize("flag,value", [("--lr", "1e19"), ("--weight-decay", "9.2e18")])
+    @pytest.mark.filterwarnings("error")  # the diverged forwards must not warn either
+    def test_train_diverged_by_last_step_is_data_error(self, tmp_path, capsys, flag, value):
+        code = main(["train", "--variant", "tiny-narrow", "--steps", "1", "--samples", "3",
+                     "--batch-size", "3", "--out-dir", str(tmp_path / "out"), flag, value])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+        assert "train accuracy" not in out
+        assert not (tmp_path / "out").exists()
+
     def test_infer_prints_logits(self, capsys, ckpt_file, image_file):
         code = main(["infer", "--checkpoint", ckpt_file, "--image", image_file])
         assert code == 0

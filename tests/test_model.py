@@ -157,7 +157,7 @@ class TestForward:
 
     def test_meta_path_is_live(self, rng):
         model = toy_model()
-        logits = model.forward_classify(toy_image(rng))
+        logits = model.forward_classify(toy_image(rng, batch=1))
         loss = T.cross_entropy(logits, np.array([1]))
         T.backward(loss)
         grad = model.parameters()["meta.init"].grad

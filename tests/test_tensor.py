@@ -56,24 +56,26 @@ class TestMatmul:
         assert_allclose(dist.data, split.data, atol=1e-5)
 
 
+class TestAdd:
+    def test_unequal_shapes_name_both(self):
+        with pytest.raises(DimensionError) as err:
+            T.add(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+        assert "(2, 3)" in str(err.value) and "(3,)" in str(err.value)
+
+
 class TestLinear:
     def test_rank3_matches_reshape_matmul_reshape_add(self, rng):
-        arrays = [rng.standard_normal(shape) for shape in ((2, 5, 4), (4, 3), (3,))]
-        weight = rng.standard_normal((2, 5, 3))
-        runs = []
-        for fused in (True, False):
-            x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
-            if fused:
-                y = T.linear(x, w, b)
-            else:
-                y = T.add(T.reshape(T.matmul(T.reshape(x, (10, 4)), w), (2, 5, 3)), b)
-            T.backward(weighted_sum(y, weight))
-            runs.append((y.data, [t.grad for t in (x, w, b)]))
-        (got, got_grads), (want, want_grads) = runs
-        assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        for fused, composed in zip(got_grads, want_grads):
-            assert fused.shape == composed.shape
-            assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+        xa, wa, ba = (rng.standard_normal(shape) for shape in ((2, 5, 4), (4, 3), (3,)))
+        g = rng.standard_normal((2, 5, 3))  # the gradient at y of sum(y * g)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xa, wa, ba))
+        y = T.linear(x, w, b)
+        T.backward(weighted_sum(y, g))
+        rows, grows = xa.reshape(10, 4), g.reshape(10, 3)
+        want_grads = [(grows @ wa.T).reshape(2, 5, 4), rows.T @ grows, grows.sum(axis=0)]
+        assert_allclose(y.data, (rows @ wa + ba).reshape(2, 5, 3), rtol=1e-12, atol=1e-12)
+        for got, reference in zip((x.grad, w.grad, b.grad), want_grads):
+            assert got.shape == reference.shape
+            assert_allclose(got, reference, rtol=1e-12, atol=1e-12)
 
     def test_one_node_and_one_mac_count(self, rng):
         x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
@@ -130,9 +132,8 @@ class TestLayerNorm:
 
     def test_closed_form_three_values(self):
         x = np.array([[1.0, 2.0, 3.0]])
-        eps = 1e-5
-        expected = (x - x.mean()) / np.sqrt(x.var() + eps)  # 64-bit closed form
-        out = T.layer_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), eps)
+        expected = (x - x.mean()) / np.sqrt(x.var() + 1e-5)  # 64-bit closed form
+        out = T.layer_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert_allclose(out.data, expected, atol=1e-9)
         assert_allclose(out.data, [[-1.22474, 0.0, 1.22474]], atol=1e-4)
 
@@ -332,7 +333,7 @@ class TestConv2d:
         w = rng.standard_normal((cout, cin // groups, 3, 3))
         b = rng.standard_normal(cout)
         got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), stride=stride,
-                       padding=padding, groups=groups).data
+                       padding=padding).data
         assert_allclose(_nchw(got), naive_conv2d(x, w, b, stride, padding, groups),
                         rtol=1e-6, atol=1e-8)
 
@@ -353,16 +354,26 @@ class TestConv2d:
         x = rng.standard_normal((2, d, 5, 5))
         w = rng.standard_normal((d, 1, 3, 3))
         b = rng.standard_normal(d)
-        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), padding=1, groups=d).data
+        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), padding=1).data
         assert_allclose(_nchw(got), naive_conv2d(x, w, b, 1, 1, d), rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("cin,cout", [(1, 1), (1, 3), (5, 5)])
+    def test_kind_read_from_weight_shape(self, rng, cin, cout):
+        # (Cout, 1, 3, 3) is dense on one input channel and depthwise on Cin > 1
+        groups = 1 if cin == 1 else cin
+        x = rng.standard_normal((2, cin, 5, 6))
+        w = rng.standard_normal((cout, 1, 3, 3))
+        b = rng.standard_normal(cout)
+        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), padding=1).data
+        assert_allclose(_nchw(got), naive_conv2d(x, w, b, 1, 1, groups), rtol=1e-6, atol=1e-8)
+
     def test_bad_groups_rejected(self):
-        # on Cin=4: groups that do not divide it, grouped but not depthwise,
-        # and a depthwise weight with Cout != Cin
-        for wshape, groups in (((6, 2, 3, 3), 3), ((4, 2, 3, 3), 2), ((8, 1, 3, 3), 4)):
+        # weights on Cin=4 that are neither dense (Cout, 4, k, k) nor depthwise
+        # (4, 1, k, k): 2 input channels per group, and one per group with Cout != Cin
+        for wshape in ((6, 2, 3, 3), (4, 2, 3, 3), (8, 1, 3, 3)):
             with pytest.raises(DimensionError):
                 T.conv2d(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros(wshape)),
-                         Tensor(np.zeros(wshape[0])), groups=groups)
+                         Tensor(np.zeros(wshape[0])))
 
     def test_kernel_larger_than_padded_input_rejected(self):
         with pytest.raises(DimensionError):
@@ -427,6 +438,11 @@ class TestBackward:
         p /= p.sum(axis=1, keepdims=True)
         onehot = np.eye(5)[labels]
         assert_allclose(logits.grad, (p - onehot) / 4, atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 4, 5)])
+    def test_cross_entropy_needs_batched_logits(self, shape):
+        with pytest.raises(DimensionError, match="cross_entropy"):
+            T.cross_entropy(Tensor(np.zeros(shape)), np.zeros(1 if len(shape) == 1 else 2))
 
     def test_each_op_visited_once(self, rng):
         # diamond: y = x+x used twice; gradient must accumulate once per use

@@ -186,6 +186,23 @@ class TestEvaluate:
         # batch slices line up with the dataset ordering
         assert evaluate(Stub(), ds, batch_size=9) == 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits_raise(self, bad):
+        ds = make_synth(9, 0.1, seed=0)
+
+        class Stub:
+            calls = 0
+
+            def forward_classify(self, imgs):
+                logits = np.zeros((imgs.shape[0], 3), dtype=np.float32)
+                self.calls += 1
+                if self.calls == 2:  # one bad logit in the second batch only
+                    logits[1, 2] = bad
+                return Tensor(logits)
+
+        with pytest.raises(TrainingDiverged, match="samples 3..5"):
+            evaluate(Stub(), ds, batch_size=3)
+
     def test_untrained_accuracy_near_chance_over_seeds(self):
         # measured band for this init on 300 balanced samples: [0.18, 0.58]
         ds = make_synth(300, 0.1, seed=1)
