@@ -177,6 +177,12 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
         "attention-unbounded",
         fd_check(lambda: _weighted_sum(T.attention(qu, ku, vu, 1.0)), [qu, ku, vu]),
     ))
+    # a 5x5 CPE kernel (VariantSpec.cpe_kernel = 5) with the CPE's padding k // 2
+    x5, w5, b5 = leaf(2, 6, 7, 4), leaf(4, 1, 5, 5), leaf(4)
+    cases.append(CheckCase(
+        "conv2d-depthwise-5x5",
+        fd_check(lambda: _weighted_sum(T.conv2d(x5, w5, b5, stride=1, padding=2)), [x5, w5, b5]),
+    ))
     return cases
 
 

@@ -59,8 +59,8 @@ class VariantSpec:
             )
         if self.meta_len < 2:
             raise ConfigError(f"meta_len must be >= 2, got {self.meta_len}")
-        if self.expansion < 1 or self.meta_dim0 < 1 or self.num_classes < 1:
-            raise ConfigError("expansion, meta_dim0, num_classes must be positive")
+        if min(self.expansion, self.meta_dim0, self.num_classes, self.cpe_kernel) < 1:
+            raise ConfigError("expansion, meta_dim0, num_classes, cpe_kernel must be positive")
 
 
 _REGISTRY: dict[str, VariantSpec] = {

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, InputError
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -140,6 +140,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
+        """The value of a one-element tensor as a Python float."""
+        if self.size != 1:
+            raise ContractError(f"item needs a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
@@ -435,9 +438,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     """softmax(q k^T * scale) v per head over the last two axes, as one graph node.
 
     Shapes: q (..., N1, H*C), k (..., N2, H*C), v (..., N2, H*Cv), with equal
-    leading axes and H = ``heads``; each operand is read per head through a
-    strided (..., H, N, C) view, and the output (..., N1, H*Cv) is written
-    through one, so no per-head copy is made. Query rows are processed in
+    leading axes, no empty axis and H = ``heads``; each operand is read per
+    head through a strided (..., H, N, C) view, and the output
+    (..., N1, H*Cv) is written through one, so no per-head copy is made. Query rows are processed in
     tiles, each taken across all leading and head axes at once. A tile's
     logits become unnormalized softmax numerators in place before they meet
     v, and the tile's (rows, Cv) output rows are then scaled by the
@@ -476,6 +479,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, heads: int = 1,
     if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
         raise DimensionError(
             f"attention leading axes disagree: {q.shape}, {k.shape}, {v.shape}"
+        )
+    if 0 in q.shape + k.shape + v.shape:
+        raise DimensionError(
+            f"attention needs non-empty operands, got {q.shape}, {k.shape}, {v.shape}"
         )
     scale = float(scale)  # a Python float keeps float32 arithmetic in float32
 
@@ -534,24 +541,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (variance plus
     ``LN_EPS``), then affine.
 
-    ``gamma`` and ``beta`` are (D,) for x (..., D). Row means are one GEMV
-    against a 1/D vector and row variances one einsum of the centred rows
-    with themselves; forward allocates two full-size arrays, ``xhat`` and
-    the output. At this model's shapes that runs 1.7-3.7x faster than
-    ``mean`` over the last axis with five full-size temporaries.
+    ``gamma`` and ``beta`` are (D,) for x (..., D), with D >= 1. Row means
+    are one GEMV against a 1/D vector and row variances one einsum of the
+    centred rows with themselves; forward allocates two full-size arrays,
+    ``xhat`` and the output. At this model's shapes that runs 1.7-3.7x
+    faster than ``mean`` over the last axis with five full-size
+    temporaries. Backward folds gamma into its GEMV vector, gamma / D, so
+    the row means of g * gamma and of g * gamma * xhat are GEMVs of g and
+    of g * xhat, which dgamma reads too; it makes three full-size arrays.
     """
     d = x.shape[-1]
+    if d == 0:
+        raise DimensionError(f"layer_norm needs a feature width of at least 1, got {x.shape}")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match "
             f"feature width {d}"
         )
-    mean_vec = np.full(d, 1.0 / d, dtype=x.dtype)
-
-    def row_mean(a: np.ndarray) -> np.ndarray:
-        return (a @ mean_vec)[..., None]
-
-    xhat = x.data - row_mean(x.data)
+    xhat = x.data - (x.data @ np.full(d, 1.0 / d, dtype=x.dtype))[..., None]
     var = np.einsum("...j,...j->...", xhat, xhat)[..., None] / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
@@ -562,10 +569,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     def vjp(g):
         gx = g * xhat
         dgamma = _sum_leading(gx, g.ndim - 1)
-        gx *= gd  # now ggam * xhat
-        dx = g * gd  # ggam
-        dx -= row_mean(dx)
-        dx -= np.multiply(xhat, row_mean(gx), out=gx)
+        mean_vec = gd / d  # row means of g * gamma as GEMVs of g
+        dx = g * gd
+        dx -= (g @ mean_vec)[..., None]
+        dx -= np.multiply(xhat, (gx @ mean_vec)[..., None], out=gx)
         dx *= inv
         return dx, dgamma, _sum_leading(g, g.ndim - 1)
 
@@ -668,7 +675,9 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the token axis: (..., N, D) -> (..., D)."""
+    """Mean over the token axis: (..., N, D) -> (..., D), N >= 1."""
+    if x.ndim < 2 or x.shape[-2] == 0:
+        raise DimensionError(f"global_avg_pool needs (..., N, D) input with N >= 1, got {x.shape}")
     n, shape = x.shape[-2], x.shape
     out = x.data.mean(axis=-2)
 
@@ -686,6 +695,28 @@ def _conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
     return (extent + 2 * padding - k) // stride + 1
 
 
+def _windows(a: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """The (B, Ho, Wo, k, k, C) view of the k x k window of (B, H, W, C) ``a``
+    that each output position reads."""
+    s0, s1, s2, s3 = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, (a.shape[0], ho, wo, k, k, a.shape[3]), (s0, stride * s1, stride * s2, s1, s2, s3)
+    )
+
+
+def _dense_rows(w: np.ndarray) -> np.ndarray:
+    """A dense (Cout, Cin, k, k) weight as C-ordered (Cout, k*k*Cin) rows in
+    im2col column order: one (Cin, k*k) transpose per output channel, which
+    reads and writes contiguous runs (a (k, k, Cin, Cout) copy strides
+    across the whole weight for every element it writes)."""
+    return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(w.shape[0], -1)
+
+
+def _depthwise_taps(w: np.ndarray) -> np.ndarray:
+    """A depthwise (C, 1, k, k) weight as a C-ordered (k, k, C) tap array."""
+    return np.ascontiguousarray(w[:, 0].transpose(1, 2, 0))
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Dense or depthwise 2-D cross-correlation over channels-last input, plus a bias.
 
@@ -693,15 +724,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     or (B, Ho, Wo, Cout); ``b`` is (Cout,). The weight's shape sets the
     kind: (Cout, Cin, k, k) is dense, and (Cin, 1, k, k) with Cin > 1 is
     depthwise (so with Cin = 1 a (Cout, 1, k, k) weight is dense); any
-    other weight raises ``DimensionError``. A token grid (..., H*W, D)
-    reshaped to (..., H, W, D) is a valid input without a copy. Every
-    output position reads a (k, k, Cin) window of one strided view.
-    Depthwise, the forward and dw are one einsum over the windows each.
-    Dense, the windows are copied into (B*Ho*Wo, k*k*Cin) im2col rows, and
-    the forward, dw and dx are one matrix product each. Both build dx in
-    one loop over the k*k kernel taps: depthwise adds each tap's weight
-    times the output gradient, dense scatter-adds the tap's columns of the
-    dx product (col2im).
+    other weight, a stride below 1 or a padding outside [0, k) raises
+    ``DimensionError``. A token grid (..., H*W, D) reshaped to
+    (..., H, W, D) is a valid input without a copy. Every output position
+    reads a (k, k, Cin) window of one strided view.
+
+    Depthwise, the forward and dw are one einsum over the windows each, and
+    dx is the forward's window einsum again, with the kernel flipped in
+    both axes, over an (H + k - 1, W + k - 1) zero grid that holds the
+    output gradient ``stride`` apart from offset k - 1 - padding. Dense,
+    the windows are copied into (B*Ho*Wo, k*k*Cin) im2col rows, and the
+    forward, dw and dx are one matrix product each, the forward and dx
+    against the weight as (Cout, k*k*Cin) rows (``_dense_rows``, formed
+    again in backward rather than kept). dx then adds the taps' columns of
+    that product into a zeroed padded buffer (col2im), one stride x stride
+    block of taps per pass: the taps of a block write disjoint positions,
+    and side by side they read and write runs of stride * Cin values, not
+    Cin. Of the forward's arrays, backward keeps only the padded input,
+    for dw.
     """
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
@@ -718,6 +758,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             f"conv2d weight {w.shape} is neither dense (Cout, {cin}, k, k) nor "
             f"depthwise ({cin}, 1, k, k) for Cin={cin}"
         )
+    if stride < 1 or not 0 <= padding < k:
+        raise DimensionError(
+            f"conv2d needs stride >= 1 and padding in [0, {k}), got {stride} and {padding}"
+        )
     if h + 2 * padding < k or wd_ + 2 * padding < k:
         raise DimensionError(
             f"kernel {k}x{k} larger than padded input {h + 2 * padding}x{wd_ + 2 * padding}"
@@ -730,47 +774,50 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     else:
         xp = xd
-    # (B, Ho, Wo, k, k, Cin) view of every output position's window
-    s0, s1, s2, s3 = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (bsz, ho, wo, k, k, cin), (s0, stride * s1, stride * s2, s1, s2, s3)
-    )
+    win = _windows(xp, k, stride, ho, wo)
     n = bsz * ho * wo
-    # (k, k, Cin or 1, Cout): tap-major weights matching the window layout
-    wt = w.data.transpose(2, 3, 1, 0)
-
+    wdata = w.data
     if depthwise:
-        out = np.einsum("bhwijc,ijc->bhwc", win, np.ascontiguousarray(wt[:, :, 0]))
+        out = np.einsum("bhwijc,ijc->bhwc", win, _depthwise_taps(wdata))
     else:
-        out = win.reshape(n, k * k * cin) @ wt.reshape(k * k * cin, cout)
-        out = out.reshape(bsz, ho, wo, cout)
+        out = (win.reshape(n, k * k * cin) @ _dense_rows(wdata).T).reshape(bsz, ho, wo, cout)
     out += b.data
     need_dx = x.requires_grad
 
     def input_grad(gg):
-        if not depthwise:
-            dcols = gg.reshape(n, cout) @ wt.reshape(k * k * cin, cout).T
+        if depthwise:
+            lead = k - 1 - padding
+            grid = np.zeros((bsz, h + k - 1, wd_ + k - 1, cin), dtype=gg.dtype)
+            grid[:, lead : lead + ho * stride : stride, lead : lead + wo * stride : stride] = gg
+            flipped = _depthwise_taps(wdata)[::-1, ::-1]
+            dx = np.einsum("bhwijc,ijc->bhwc", _windows(grid, k, 1, h, wd_), flipped)
+        else:
+            dcols = gg.reshape(n, cout) @ _dense_rows(wdata)
             dcols = dcols.reshape(bsz, ho, wo, k, k, cin)
-        dxp = np.zeros_like(xp)
-        for ki in range(k):
-            for kj in range(k):
-                # the (B, Ho, Wo, Cin) view of the padded input read by tap (ki, kj)
-                dst = dxp[:, ki : ki + ho * stride : stride, kj : kj + wo * stride : stride]
-                dst += gg * wt[ki, kj, 0] if depthwise else dcols[:, :, :, ki, kj]
-        dx = dxp[:, padding : padding + h, padding : padding + wd_]
+            # the padded dx, its extents rounded up to whole strides, as
+            # (B, rows / stride, stride, cols / stride, stride, Cin)
+            dx6 = np.zeros((bsz, -(-(h + 2 * padding) // stride), stride,
+                            -(-(wd_ + 2 * padding) // stride), stride, cin), dtype=gg.dtype)
+            for qi in range((k - 1) // stride + 1):
+                for qj in range((k - 1) // stride + 1):
+                    # the up to stride x stride taps from (qi, qj) * stride write
+                    # disjoint positions, in runs of stride * Cin values: one pass
+                    i0, j0 = qi * stride, qj * stride
+                    src = dcols[:, :, :, i0 : i0 + stride, j0 : j0 + stride]
+                    src = src.transpose(0, 1, 3, 2, 4, 5)
+                    dx6[:, qi : qi + ho, : src.shape[2], qj : qj + wo, : src.shape[4]] += src
+            dxp = dx6.reshape(bsz, dx6.shape[1] * stride, dx6.shape[3] * stride, cin)
+            dx = dxp[:, padding : padding + h, padding : padding + wd_]
         return dx[0] if squeeze else dx
 
     def vjp(g):
         gg = g.reshape(bsz, ho, wo, cout)
         if depthwise:
-            dwt = np.einsum("bhwijc,bhwc->ijc", win, gg)[:, :, None]
+            dw = np.einsum("bhwijc,bhwc->cij", win, gg)[:, None]
         else:
             dwt = (win.reshape(n, k * k * cin).T @ gg.reshape(n, cout)).reshape(k, k, cin, cout)
-        return (
-            input_grad(gg) if need_dx else None,
-            np.ascontiguousarray(dwt.transpose(3, 2, 0, 1)),
-            _sum_leading(gg, 3),
-        )
+            dw = np.ascontiguousarray(dwt.transpose(3, 2, 0, 1))
+        return input_grad(gg) if need_dx else None, dw, _sum_leading(gg, 3)
 
     return _node(out[0] if squeeze else out, (x, w, b), vjp, "conv2d")
 
@@ -782,18 +829,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 def cross_entropy(logits: Tensor, labels, label_smoothing: float = 0.0) -> Tensor:
     """Mean softmax cross-entropy over (B, K) logits. Gradient is (p - q) / B.
 
-    ``labels`` is an integer array of B class indices; with smoothing s the
-    target distribution is (1 - s) * onehot + s / K.
+    ``labels`` holds B class indices, integers in [0, K) (an integral float
+    counts; anything else raises ``InputError``); with smoothing s in
+    [0, 1) the target distribution is (1 - s) * onehot + s / K. Logits
+    with B = 0 or K = 0 raise ``DimensionError``.
     """
-    if logits.ndim != 2:
-        raise DimensionError(f"cross_entropy needs (B, K) logits, got {logits.shape}")
+    if logits.ndim != 2 or 0 in logits.shape:
+        raise DimensionError(f"cross_entropy needs (B, K) logits, B, K >= 1, got {logits.shape}")
+    if not 0 <= label_smoothing < 1:
+        raise ConfigError(f"label_smoothing must be in [0, 1), got {label_smoothing}")
     z = logits.data
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     bsz, ncls = z.shape
-    if labels.shape[0] != bsz:
+    raw = np.asarray(labels).reshape(-1)
+    if raw.dtype.kind not in "iuf":
+        raise InputError(f"cross_entropy labels must be class indices, got dtype {raw.dtype}")
+    if raw.shape[0] != bsz:
         raise DimensionError(
-            f"cross_entropy got {bsz} logit rows but {labels.shape[0]} labels"
+            f"cross_entropy got {bsz} logit rows but {raw.shape[0]} labels"
         )
+    bad = ~((raw >= 0) & (raw < ncls) & (raw == np.floor(raw)))  # NaN is bad too
+    if bad.any():
+        raise InputError(f"cross_entropy label {raw[bad][0]} is not an integer in [0, {ncls})")
+    labels = raw.astype(np.int64)
     zmax = z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True)) + zmax
     logp = z - lse

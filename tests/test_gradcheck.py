@@ -21,7 +21,8 @@ def test_kernel_and_block_suite_under_tolerance():
     cases = run_suite(seed=0, include_model=False)
     names = {c.name for c in cases}
     assert {"matmul", "softmax_rows", "layer_norm", "gelu", "conv2d",
-            "conv2d-depthwise", "conv2d-depthwise-stride2", "linear-rank3", "fan-in",
+            "conv2d-depthwise", "conv2d-depthwise-stride2", "conv2d-depthwise-5x5",
+            "linear-rank3", "fan-in",
             "attention-tiled", "attention-heads", "attention-unbounded",
             "block-ca", "block-dca", "block-dca-sequential", "block-sa"} <= names
     worst = max(c.max_rel_err for c in cases)

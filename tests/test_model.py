@@ -56,6 +56,11 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             variant("tiny", head_dim=0)
 
+    @pytest.mark.parametrize("kernel", [0, -1])
+    def test_cpe_kernel_below_one_rejected(self, kernel):
+        with pytest.raises(ConfigError, match="cpe_kernel"):
+            variant("tiny", cpe_kernel=kernel)
+
     # sha256 over each seed-0 parameter's name, shape and float32 bytes, in
     # registration order; any change to initialization or naming moves it
     SEED0_DIGESTS = {

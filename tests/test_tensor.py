@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import naive_conv2d, naive_matmul, weighted_sum
 from metavit import tensor as T
-from metavit.errors import ContractError, DimensionError
+from metavit.errors import ConfigError, ContractError, DimensionError, InputError
 from metavit.tensor import Graph, MacCounter, Tensor
 
 
@@ -380,6 +380,61 @@ class TestConv2d:
             T.conv2d(Tensor(_nhwc(np.zeros((1, 2, 2)))), Tensor(np.zeros((1, 1, 3, 3))),
                      Tensor(np.zeros(1)))
 
+    @pytest.mark.parametrize("stride,padding", [(0, 1), (-1, 1), (1, -1), (1, 3), (2, 4)])
+    def test_stride_and_padding_outside_range_rejected(self, stride, padding):
+        with pytest.raises(DimensionError, match="stride >= 1 and padding in"):
+            T.conv2d(Tensor(np.zeros((6, 6, 2))), Tensor(np.zeros((2, 2, 3, 3))),
+                     Tensor(np.zeros(2)), stride=stride, padding=padding)
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "3d"])
+    @pytest.mark.parametrize("kind,k,stride,padding", [
+        (kind, k, stride, padding)
+        for kind in ("dense", "depthwise") for k in (1, 3, 5)
+        for stride in (1, 2, 3) for padding in range(k)
+    ])
+    def test_gradients_equal_loop_vjp(self, rng, kind, k, stride, padding, batched):
+        # float64 over a 7 x 6 input, so both an odd and an even extent
+        cin, cout = (3, 4) if kind == "dense" else (3, 3)
+        shape = (2, 7, 6, cin) if batched else (7, 6, cin)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = Tensor(rng.standard_normal((cout, cin if kind == "dense" else 1, k, k)),
+                   requires_grad=True)
+        b = Tensor(rng.standard_normal(cout), requires_grad=True)
+        out = T.conv2d(x, w, b, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        T.backward(weighted_sum(out, g))
+        xb, gb = (x.data, g) if batched else (x.data[None], g[None])
+        dx, dw, db = _loop_conv2d_vjp(xb, w.data, gb, stride, padding)
+        assert_allclose(x.grad, dx if batched else dx[0], rtol=0, atol=1e-10)
+        assert_allclose(w.grad, dw, rtol=0, atol=1e-10)
+        assert_allclose(b.grad, db, rtol=0, atol=1e-10)
+
+
+def _loop_conv2d_vjp(x, w, g, stride, padding):
+    """dx, dw and db of a channels-last conv2d at output gradient ``g``, one
+    output position and kernel tap at a time; x is (B, H, W, Cin) and g is
+    (B, Ho, Wo, Cout). A (Cin, 1, k, k) weight with Cin > 1 is depthwise."""
+    bsz, h, wd, cin = x.shape
+    cout, cin_g, k, _ = w.shape
+    depthwise = cin_g == 1 and cout == cin > 1
+    pads = ((0, 0), (padding, padding), (padding, padding), (0, 0))
+    xp = np.pad(x, pads)
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for bi in range(bsz):
+        for y in range(g.shape[1]):
+            for xx in range(g.shape[2]):
+                gv = g[bi, y, xx]
+                for i in range(k):
+                    for j in range(k):
+                        r, c = y * stride + i, xx * stride + j
+                        if depthwise:
+                            dw[:, 0, i, j] += gv * xp[bi, r, c]
+                            dxp[bi, r, c] += gv * w[:, 0, i, j]
+                        else:
+                            dw[:, :, i, j] += np.outer(gv, xp[bi, r, c])
+                            dxp[bi, r, c] += w[:, :, i, j].T @ gv
+    return dxp[:, padding:padding + h, padding:padding + wd], dw, g.sum(axis=(0, 1, 2))
+
 
 class TestGlobalAvgPool:
     def test_constant(self):
@@ -438,6 +493,24 @@ class TestBackward:
         p /= p.sum(axis=1, keepdims=True)
         onehot = np.eye(5)[labels]
         assert_allclose(logits.grad, (p - onehot) / 4, atol=1e-8)
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 3], [0.7, 1.2], [0, np.nan], ["a", "b"]])
+    def test_cross_entropy_labels_must_be_classes(self, labels):
+        with pytest.raises(InputError, match="label"):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), labels)
+
+    def test_cross_entropy_names_the_bad_label(self):
+        with pytest.raises(InputError, match=r"label -1 is not an integer in \[0, 3\)"):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), [0, -1])
+
+    def test_cross_entropy_integral_float_labels_accepted(self):
+        z = Tensor(np.zeros((2, 3)))
+        assert T.cross_entropy(z, [0.0, 2.0]).item() == T.cross_entropy(z, [0, 2]).item()
+
+    @pytest.mark.parametrize("smoothing", [2.0, 1.0, -0.1, np.nan])
+    def test_cross_entropy_smoothing_in_unit_interval(self, smoothing):
+        with pytest.raises(ConfigError, match="label_smoothing"):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), [0, 1], label_smoothing=smoothing)
 
     @pytest.mark.parametrize("shape", [(5,), (2, 4, 5)])
     def test_cross_entropy_needs_batched_logits(self, shape):
@@ -529,6 +602,41 @@ class TestBackward:
         T.backward(T.add(T.linear(x, w, b), T.linear(x, w, b)))  # accumulated twice
         assert x.grad.dtype == np.float32
         assert_allclose(x.grad, [[6.0, -8.0]])
+
+
+class TestEmptyAxes:
+    def test_attention_without_keys(self):
+        q, kv = Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 0, 4)))
+        with pytest.raises(DimensionError, match="non-empty"):
+            T.attention(q, kv, kv, 0.5)
+
+    def test_attention_with_empty_leading_axis(self):
+        q, kv = Tensor(np.zeros((0, 5, 4))), Tensor(np.zeros((0, 3, 4)))
+        with pytest.raises(DimensionError, match="non-empty"):
+            T.attention(q, kv, kv, 0.5)
+
+    def test_layer_norm_over_no_features(self):
+        with pytest.raises(DimensionError, match="feature width"):
+            T.layer_norm(Tensor(np.zeros((3, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3)])
+    def test_cross_entropy_without_classes_or_rows(self, shape):
+        with pytest.raises(DimensionError, match="cross_entropy"):
+            T.cross_entropy(Tensor(np.zeros(shape)), np.zeros(shape[0], dtype=np.int64))
+
+    def test_global_avg_pool_over_no_tokens(self):
+        with pytest.raises(DimensionError, match="N >= 1"):
+            T.global_avg_pool(Tensor(np.zeros((2, 0, 3))))
+
+
+class TestItem:
+    def test_one_element_of_any_rank(self):
+        assert Tensor(np.full((1, 1), 2.5)).item() == 2.5
+
+    @pytest.mark.parametrize("shape", [(3,), (0,), (1, 2)])
+    def test_other_sizes_rejected(self, shape):
+        with pytest.raises(ContractError, match="one-element"):
+            Tensor(np.arange(math.prod(shape), dtype=np.float64).reshape(shape)).item()
 
 
 class TestNoGradAndMeters:
