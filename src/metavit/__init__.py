@@ -8,12 +8,7 @@ numpy-backed tensor/autodiff core, the model, an analytic cost profiler,
 micro-benchmarks, a toy trainer, and a command line.
 """
 
-from .attention import (
-    AttentionConfig,
-    MhaParams,
-    entropy_scale,
-    multi_head_attention,
-)
+from .attention import MhaParams, entropy_scale, multi_head_attention
 from .bench import BenchResult, bench_block_pair, bench_model, speedup
 from .blocks import CABlock, Cpe, DCABlock, Downsample, ImageStem, MetaStem, SABlock, TokenGrid
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -35,8 +30,7 @@ from .trainer import SynthDataset, TrainConfig, evaluate, make_synth, train_toy
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionConfig", "MhaParams", "entropy_scale",
-    "multi_head_attention",
+    "MhaParams", "entropy_scale", "multi_head_attention",
     "BenchResult", "bench_block_pair", "bench_model", "speedup",
     "CABlock", "Cpe", "DCABlock", "Downsample", "ImageStem", "MetaStem",
     "SABlock", "TokenGrid",

@@ -7,6 +7,11 @@ image-token stream and a short meta-token stream. Only the ratio of the
 logs enters, so the factor does not depend on the logarithm base. When
 the counts match, as in self-attention, the log ratio is 1 and the factor
 is exactly sqrt(width).
+
+``multi_head_attention`` takes the query stream and one key/value
+stream, since every branch of a block reads its keys and values from the
+same tokens. The calling block passes its head count, having checked that
+its head width divides its width; there is no attention config object.
 """
 
 from __future__ import annotations
@@ -17,26 +22,6 @@ from dataclasses import dataclass
 from . import tensor as T
 from .errors import ConfigError
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Width bookkeeping for a multi-head attention site."""
-
-    dim: int
-    head_dim: int = 32
-
-    def __post_init__(self):
-        if self.dim <= 0 or self.head_dim <= 0:
-            raise ConfigError(f"dim/head_dim must be positive, got {self.dim}/{self.head_dim}")
-        if self.dim % self.head_dim:
-            raise ConfigError(
-                f"head_dim {self.head_dim} does not divide embedding width {self.dim}"
-            )
-
-    @property
-    def num_heads(self) -> int:
-        return self.dim // self.head_dim
 
 
 def entropy_scale(n_query: int, n_key: int, width: int) -> float:
@@ -67,34 +52,28 @@ class MhaParams:
     bo: Tensor
 
 
-def multi_head_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    cfg: AttentionConfig,
-    params: MhaParams,
-    return_attn: bool = False,
-):
+def multi_head_attention(q: Tensor, kv: Tensor, params: MhaParams, heads: int,
+                         return_attn: bool = False):
     """Project, attend per head, reproject: five graph nodes.
 
-    The projections stay in the merged (..., N, dim) layout; ``tensor.attention``
-    reads its dim/head_dim heads through strided views. The logits are divided
-    by entropy_scale(N1, N2, head_dim). Returns the output, or (output, attention)
-    when ``return_attn`` is set; the attention is averaged over heads, a plain
-    (..., N1, N2) array for visualization.
+    ``kv`` is projected twice, once to keys and once to values. The
+    projections stay in the merged (..., N, dim) layout; ``tensor.attention``
+    reads its ``heads`` heads through strided views. The logits are divided
+    by entropy_scale(N1, N2, dim / heads). Returns the output, or (output,
+    attention) when ``return_attn`` is set; the attention is averaged over
+    heads, a plain (..., N1, N2) array for visualization.
     """
-    for name, t in (("q", q), ("k", k), ("v", v)):
-        if t.shape[-1] != cfg.dim:
-            raise ConfigError(
-                f"{name} width {t.shape[-1]} does not match configured dim {cfg.dim}"
-            )
-    scale = entropy_scale(q.shape[-2], k.shape[-2], cfg.head_dim)
+    dim = params.wq.shape[0]
+    for name, t in (("q", q), ("kv", kv)):
+        if t.shape[-1] != dim:
+            raise ConfigError(f"{name} width {t.shape[-1]} does not match projection width {dim}")
+    scale = entropy_scale(q.shape[-2], kv.shape[-2], dim // heads)
     attended = T.attention(
         T.linear(q, params.wq, params.bq),
-        T.linear(k, params.wk, params.bk),
-        T.linear(v, params.wv, params.bv),
+        T.linear(kv, params.wk, params.bk),
+        T.linear(kv, params.wv, params.bv),
         1.0 / scale,
-        heads=cfg.num_heads,
+        heads=heads,
         return_attn=return_attn,
     )
     if not return_attn:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, MhaParams, multi_head_attention
+from .attention import MhaParams, multi_head_attention
 from .errors import ConfigError, ContractError, InputError
 from .tensor import Tensor
 
@@ -124,8 +124,8 @@ class ParamStore:
         self.params[name] = t
         return t
 
-    def weight(self, name: str, shape, std: float = INIT_STD) -> Tensor:
-        return self._register(name, shape, lambda: trunc_normal(self.rng, shape, std))
+    def weight(self, name: str, shape) -> Tensor:
+        return self._register(name, shape, lambda: trunc_normal(self.rng, shape))
 
     def zeros(self, name: str, shape) -> Tensor:
         return self._register(name, shape, lambda: np.zeros(shape))
@@ -266,9 +266,11 @@ class _TwoStreamBlock:
         use_cpe: bool = True,
         cpe_kernel: int = 3,
     ):
+        if dim < 1 or head_dim < 1 or dim % head_dim:
+            raise ConfigError(f"head_dim {head_dim} must be positive and divide the width {dim}")
         route = self.route
         self.sequential = sequential
-        self.cfg = AttentionConfig(dim, head_dim)
+        self.heads = dim // head_dim
         self.cpe = Cpe(store, f"{name}.cpe", dim, cpe_kernel) if route.cpe and use_cpe else None
         qkv = []
         for p in "qkv":
@@ -303,9 +305,8 @@ class _TwoStreamBlock:
                 kv = self.norm[src](attended[src])  # read the already updated stream
             else:
                 kv = normed[src]
-            out = multi_head_attention(
-                normed[s], kv, kv, self.cfg, self.mha[s], return_attn=return_attention
-            )
+            out = multi_head_attention(normed[s], kv, self.mha[s], self.heads,
+                                       return_attn=return_attention)
             if return_attention:
                 out, attn[s] = out
             attended[s] = T.add(streams[s], out)

@@ -2,7 +2,9 @@
 
 Subcommands: analyze, bench, gradcheck, train, infer, attmap. Every value
 can come from a flat key=value config file (``--config``), with command
-line flags taking precedence. Unknown config keys are rejected. Exit code
+line flags taking precedence. ``COMMAND_KEYS`` lists the keys each
+subcommand takes; a config key outside that list is rejected just as the
+matching flag is, and so is an unknown key. Exit code
 0 on success, 1 on usage or config errors, 2 on any other ``MetavitError``
 or an OS error. Each command prints the seed it ran under.
 """
@@ -56,6 +58,24 @@ CONFIG_KEYS: dict[str, tuple] = {
     "image": (str, None, "input image (.ppm or binary tensor record)"),
 }
 
+# command -> (help, the CONFIG_KEYS it takes as flags or from its config file)
+COMMAND_KEYS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "analyze": ("print the complexity report for a variant",
+                ("variant", "input", "meta_len", "num_classes", "format", "strict_dual",
+                 "use_ca_stage", "use_meta_stem", "use_meta_pooling", "seed")),
+    "bench": ("time dual cross-attention against standard attention",
+              ("mode", "n", "m", "d", "e", "iters", "warmup", "variant", "input",
+               "seed", "out_dir")),
+    "gradcheck": ("verify gradients against finite differences", ("seed",)),
+    "train": ("train the toy classifier on synthetic patterns",
+              ("variant", "steps", "batch_size", "lr", "optimizer", "weight_decay",
+               "label_smoothing", "samples", "noise_sigma", "seed", "out_dir")),
+    "infer": ("load a checkpoint and print logits for an image",
+              ("checkpoint", "image", "seed")),
+    "attmap": ("write per-meta-token attention maps for an image",
+               ("variant", "checkpoint", "image", "seed", "out_dir")),
+}
+
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -102,7 +122,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="metavit", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, helptext, keys):
+    for name, (helptext, keys) in COMMAND_KEYS.items():
         p = sub.add_parser(name, help=helptext, description=helptext)
         p.add_argument("--config", help="flat key=value config file")
         for key in keys:
@@ -118,29 +138,18 @@ def _build_parser() -> _Parser:
                 )
             else:
                 p.add_argument(flag, dest=key, type=kind, default=None, help=khelp)
-        return p
-
-    add("analyze", "print the complexity report for a variant",
-        ["variant", "input", "meta_len", "num_classes", "format", "strict_dual",
-         "use_ca_stage", "use_meta_stem", "use_meta_pooling", "seed"])
-    add("bench", "time dual cross-attention against standard attention",
-        ["mode", "n", "m", "d", "e", "iters", "warmup", "variant", "input",
-         "seed", "out_dir"])
-    add("gradcheck", "verify gradients against finite differences", ["seed"])
-    add("train", "train the toy classifier on synthetic patterns",
-        ["variant", "steps", "batch_size", "lr", "optimizer", "weight_decay",
-         "label_smoothing", "samples", "noise_sigma", "seed", "out_dir"])
-    add("infer", "load a checkpoint and print logits for an image",
-        ["checkpoint", "image", "seed"])
-    add("attmap", "write per-meta-token attention maps for an image",
-        ["variant", "checkpoint", "image", "seed", "out_dir"])
     return parser
 
 
 def _settings(args) -> dict:
     merged = {key: spec[1] for key, spec in CONFIG_KEYS.items()}
-    if getattr(args, "config", None):
-        merged.update(load_config(args.config))
+    if args.config:
+        values = load_config(args.config)
+        taken = COMMAND_KEYS[args.command][1]
+        for key in values:
+            if key not in taken:
+                raise UsageError(f"{args.config}: {args.command} takes no config key {key!r}")
+        merged.update(values)
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:

@@ -88,7 +88,6 @@ class ComplexityEntry:
 @dataclass
 class ComplexityReport:
     entries: list[ComplexityEntry] = field(default_factory=list)
-    note: str = CONVENTION_NOTE
 
     def _total(self, attr: str) -> int:
         return sum(getattr(entry, attr) for entry in self.entries)
@@ -234,7 +233,7 @@ def emit_report(report: ComplexityReport, fmt: str = "table") -> str:
         return buf.getvalue()
     if fmt == "json":
         doc = {
-            "convention": report.note,
+            "convention": CONVENTION_NOTE,
             "entries": [
                 {c: getattr(entry, c) for c in _COLUMNS} for entry in report.entries
             ],
@@ -256,6 +255,6 @@ def emit_report(report: ComplexityReport, fmt: str = "table") -> str:
             if idx == 0:
                 lines.append("  ".join("-" * w for w in widths))
         lines.append("")
-        lines.append(f"note: {report.note}")
+        lines.append(f"note: {CONVENTION_NOTE}")
         return "\n".join(lines) + "\n"
     raise UsageError(f"unknown report format {fmt!r}; expected table, csv, or json")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionConfig, MhaParams, multi_head_attention
+from .attention import MhaParams, multi_head_attention
 from .blocks import BLOCKS, ParamStore, TokenGrid
 from .model import Model, variant
 from .tensor import Tensor
@@ -37,7 +37,7 @@ class CheckCase:
 
 
 def fd_check(loss_fn, leaves: list[Tensor], sample: int | None = None,
-             seed: int = 0, h: float = FD_STEP) -> float:
+             seed: int = 0) -> float:
     """Compare backward() gradients of ``loss_fn()`` against central differences.
 
     ``loss_fn`` must rebuild its graph from the current leaf data on every
@@ -60,21 +60,21 @@ def fd_check(loss_fn, leaves: list[Tensor], sample: int | None = None,
                   else rng.choice(flat.size, size=count, replace=False))
         for idx in coords:
             original = flat[idx]
-            flat[idx] = original + h
+            flat[idx] = original + FD_STEP
             above = loss_fn().item()
-            flat[idx] = original - h
+            flat[idx] = original - FD_STEP
             below = loss_fn().item()
             flat[idx] = original
-            numeric = (above - below) / (2.0 * h)
+            numeric = (above - below) / (2.0 * FD_STEP)
             scale = max(scale, abs(numeric))
             worst_abs = max(worst_abs, abs(grads.reshape(-1)[idx] - numeric))
     return worst_abs / scale
 
 
-def _weighted_sum(*outputs, seed: int = 7) -> Tensor:
+def _weighted_sum(*outputs) -> Tensor:
     """sum(out * w) over ``outputs`` with fixed random weights, each term one
     ``linear`` of the flattened output against a (size, 1) weight column."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     total = None
     for out in outputs:
         w = Tensor(rng.standard_normal((out.size, 1)))
@@ -188,19 +188,16 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
 
 def _mha_case(seed: int) -> CheckCase:
     rng = np.random.default_rng(seed)
-    dim, head_dim = 8, 4
-    cfg = AttentionConfig(dim, head_dim)
+    dim, heads = 8, 2
 
     def leaf(*shape):
         return Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
 
     params = MhaParams(*(leaf(dim, dim) if i % 2 == 0 else leaf(dim) for i in range(8)))
-    q, k, v = leaf(5, dim), leaf(3, dim), leaf(3, dim)
-    leaves = [q, k, v, params.wq, params.bq, params.wk, params.bk,
+    q, kv = leaf(5, dim), leaf(3, dim)
+    leaves = [q, kv, params.wq, params.bq, params.wk, params.bk,
               params.wv, params.bv, params.wo, params.bo]
-    err = fd_check(
-        lambda: _weighted_sum(multi_head_attention(q, k, v, cfg, params)), leaves
-    )
+    err = fd_check(lambda: _weighted_sum(multi_head_attention(q, kv, params, heads)), leaves)
     return CheckCase("multi_head_attention", err)
 
 
@@ -227,7 +224,7 @@ def _block_case(kind: str, seed: int, sequential: bool = False) -> CheckCase:
     return CheckCase(f"block-{label}", fd_check(loss_fn, leaves, sample=6, seed=seed))
 
 
-def _model_case(seed: int, sample_params: int = 24) -> CheckCase:
+def _model_case(seed: int) -> CheckCase:
     spec = variant("tiny-narrow", num_classes=3)
     model = Model(spec, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
@@ -238,7 +235,7 @@ def _model_case(seed: int, sample_params: int = 24) -> CheckCase:
         return T.cross_entropy(model.forward_classify(img), labels)
 
     names = sorted(model.parameters())
-    picked = rng.choice(len(names), size=min(sample_params, len(names)), replace=False)
+    picked = rng.choice(len(names), size=min(24, len(names)), replace=False)
     leaves = [model.parameters()[names[i]] for i in picked]
     return CheckCase("model-tiny-narrow", fd_check(loss_fn, leaves, sample=2, seed=seed))
 

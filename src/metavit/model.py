@@ -124,7 +124,6 @@ class Model:
     def __init__(self, spec: VariantSpec, seed: int, dtype=np.float32,
                  arrays: dict[str, np.ndarray] | None = None):
         self.spec = spec
-        self.seed = seed
         store = ParamStore(seed, dtype=dtype, arrays=arrays)
         self.store = store
         d1, d2, d3, d4 = spec.dims

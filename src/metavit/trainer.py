@@ -6,10 +6,12 @@ plus/minus one, a random per-image phase, and additive Gaussian noise.
 Labels are assigned round-robin so classes stay balanced within one.
 
 The loop is deliberately small: cross-entropy, full backward through the
-network, and either SGD with momentum or a minimal decoupled-weight-decay
+network, and either SGD with momentum 0.9 or a minimal decoupled-weight-decay
 adaptive optimizer (bias-corrected first/second moments, betas 0.9/0.999,
 eps 1e-8, decay applied directly to parameters and scaled by the learning
-rate).
+rate). These constants are fixed. A step that would write a NaN or
+infinite weight raises ``NonFiniteWeights`` instead, and ``train_toy``
+reports the step and the parameter's registry name.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ CLASS_NAMES = ("horizontal", "vertical", "checkerboard")
 class SynthDataset:
     images: np.ndarray  # (n, 3, 64, 64) float32
     labels: np.ndarray  # (n,) int64
-    noise_sigma: float
-    seed: int
 
     def __len__(self):
         return len(self.labels)
@@ -73,7 +73,7 @@ def make_synth(n: int, noise_sigma: float = 0.1, seed: int = 0) -> SynthDataset:
         labels[i] = label
     if not np.isfinite(images).all():
         raise ConfigError(f"noise_sigma {noise_sigma} makes images past float32's range")
-    return SynthDataset(images, labels, noise_sigma, seed)
+    return SynthDataset(images, labels)
 
 
 @dataclass
@@ -108,53 +108,72 @@ class HistoryRow:
     accuracy: float
 
 
+MOMENTUM = 0.9
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
+
+class NonFiniteWeights(TrainingDiverged):
+    """An optimizer step would have written NaN or infinite weights."""
+
+    def __init__(self, index: int):
+        super().__init__(f"non-finite weights in parameter {index}")
+        self.index = index
+
+
+def _assign(p: Tensor, new: np.ndarray, index: int) -> None:
+    """Take ``new`` as the weights of parameter ``index``, if all of it is finite."""
+    if not np.isfinite(new).all():
+        raise NonFiniteWeights(index)
+    p.data = new
+
+
 class SgdMomentum:
-    def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.9,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = [np.zeros_like(p.data) for p in params]
 
     def step(self):
-        for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                continue
-            g = p.grad + self.weight_decay * p.data
-            v *= self.momentum
-            v += g
-            p.data = p.data - self.lr * v
+        """One update; raises ``NonFiniteWeights`` instead of writing NaN or inf."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (p, v) in enumerate(zip(self.params, self.velocity)):
+                if p.grad is None:
+                    continue
+                g = p.grad + self.weight_decay * p.data
+                v *= MOMENTUM
+                v += g
+                _assign(p, p.data - self.lr * v, i)
 
 
 class AdamWLite:
     """Decoupled weight decay plus bias-corrected moment estimates."""
 
-    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self):
+        """One update; raises ``NonFiniteWeights`` instead of writing NaN or inf."""
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            p.data = p.data - self.lr * (update + self.weight_decay * p.data)
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (p, m, v) in enumerate(zip(self.params, self.m, self.v)):
+                if p.grad is None:
+                    continue
+                g = p.grad
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * (g * g)
+                update = (m / c1) / (np.sqrt(v / c2) + EPS)
+                _assign(p, p.data - self.lr * (update + self.weight_decay * p.data), i)
 
 
 def _make_optimizer(model: Model, cfg: TrainConfig):
@@ -173,6 +192,7 @@ def train_toy(model: Model, ds: SynthDataset, cfg: TrainConfig) -> list[HistoryR
         )
     if cfg.batch_size > len(ds):
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds the {len(ds)} samples")
+    names = list(model.parameters())
     opt = _make_optimizer(model, cfg)
     rng = np.random.default_rng(cfg.seed)
     history: list[HistoryRow] = []
@@ -191,7 +211,12 @@ def train_toy(model: Model, ds: SynthDataset, cfg: TrainConfig) -> list[HistoryR
         if not math.isfinite(loss_val):
             raise TrainingDiverged(f"non-finite loss {loss_val} at step {step}")
         T.backward(loss)
-        opt.step()
+        try:
+            opt.step()
+        except NonFiniteWeights as exc:
+            raise TrainingDiverged(
+                f"step {step} would write non-finite weights to {names[exc.index]}"
+            ) from None
 
         acc = float((logits.data.argmax(axis=-1) == labels).mean())
         history.append(HistoryRow(step, loss_val, acc))

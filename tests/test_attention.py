@@ -5,14 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import naive_attention, weighted_sum
-from metavit.attention import (
-    AttentionConfig,
-    MhaParams,
-    entropy_scale,
-    multi_head_attention,
-)
+from metavit.attention import MhaParams, entropy_scale, multi_head_attention
 from metavit import tensor as T
-from metavit.blocks import BLOCKS
+from metavit.blocks import BLOCKS, ParamStore
 from metavit.complexity import count_model
 from metavit.errors import ConfigError, DimensionError
 from metavit.model import variant
@@ -473,60 +468,47 @@ def _random_params(rng, dim: int) -> MhaParams:
 
 
 class TestMultiHeadAttention:
-    def test_head_count_from_width(self):
-        assert AttentionConfig(64, 32).num_heads == 2
-        assert AttentionConfig(320, 32).num_heads == 10
-
     def test_indivisible_split_rejected(self):
         with pytest.raises(ConfigError):
-            AttentionConfig(48, 32)
+            BLOCKS["sa"](ParamStore(0), "blk", 48, 32, 2)
 
     def test_single_head_identity_projections_collapse_to_sdpa(self, rng):
         dim = 8
-        cfg = AttentionConfig(dim, head_dim=dim)
-        q, k, v = (Tensor(rng.standard_normal((5, dim)).astype(np.float32)) for _ in range(3))
-        got = multi_head_attention(q, k, v, cfg, _identity_params(dim))
-        want = T.attention(q, k, v, 1 / math.sqrt(dim))
+        q, kv = (Tensor(rng.standard_normal((5, dim)).astype(np.float32)) for _ in range(2))
+        got = multi_head_attention(q, kv, _identity_params(dim), 1)
+        want = T.attention(q, kv, kv, 1 / math.sqrt(dim))
         assert_allclose(got.data, want.data, atol=1e-6)
 
     def test_batched_matches_per_sample(self, rng):
         dim = 8
-        cfg = AttentionConfig(dim, 4)
         params = _random_params(rng, dim)
         qb = rng.standard_normal((3, 5, dim)).astype(np.float32)
-        kb = rng.standard_normal((3, 4, dim)).astype(np.float32)
-        vb = rng.standard_normal((3, 4, dim)).astype(np.float32)
-        batched = multi_head_attention(Tensor(qb), Tensor(kb), Tensor(vb), cfg, params).data
+        kvb = rng.standard_normal((3, 4, dim)).astype(np.float32)
+        batched = multi_head_attention(Tensor(qb), Tensor(kvb), params, 2).data
         for i in range(3):
-            single = multi_head_attention(
-                Tensor(qb[i]), Tensor(kb[i]), Tensor(vb[i]), cfg, params
-            ).data
+            single = multi_head_attention(Tensor(qb[i]), Tensor(kvb[i]), params, 2).data
             assert_allclose(batched[i], single, atol=1e-5)
 
     def test_records_five_nodes(self, rng):
         dim = 8
         params = _random_params(rng, dim)
         q, k = (Tensor(rng.standard_normal((2, n, dim)), requires_grad=True) for n in (5, 3))
-        out = multi_head_attention(q, k, k, AttentionConfig(dim, 4), params)
+        out = multi_head_attention(q, k, params, 2)
         ops = sorted(n.op for n in Graph.trace(out).nodes if n.op != "leaf")
         assert ops == ["attention", "linear", "linear", "linear", "linear"]
 
     def test_width_mismatch_rejected(self, rng):
-        cfg = AttentionConfig(8, 4)
         params = _random_params(rng, 8)
-        with pytest.raises(ConfigError):
-            multi_head_attention(
-                Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 8))),
-                Tensor(np.zeros((3, 8))), cfg, params,
-            )
+        for q, kv in ((np.zeros((3, 6)), np.zeros((3, 8))), (np.zeros((3, 8)), np.zeros((3, 6)))):
+            with pytest.raises(ConfigError):
+                multi_head_attention(Tensor(q), Tensor(kv), params, 2)
 
     def test_returned_attention_is_head_averaged(self, rng):
         dim = 8
-        cfg = AttentionConfig(dim, 4)
         params = _random_params(rng, dim)
         q = Tensor(rng.standard_normal((5, dim)).astype(np.float32))
         k = Tensor(rng.standard_normal((3, dim)).astype(np.float32))
-        out, attn = multi_head_attention(q, k, k, cfg, params, return_attn=True)
+        out, attn = multi_head_attention(q, k, params, 2, return_attn=True)
         assert isinstance(attn, np.ndarray)
         assert attn.shape == (5, 3)
         assert_allclose(attn.sum(axis=-1), np.ones(5), atol=1e-5)
@@ -536,5 +518,5 @@ class TestMultiHeadAttention:
         heads = np.exp(logits - logits.max(axis=-1, keepdims=True))
         heads /= heads.sum(axis=-1, keepdims=True)
         assert_allclose(attn, heads.mean(axis=0), atol=1e-6)
-        plain = multi_head_attention(q, k, k, cfg, params)
+        plain = multi_head_attention(q, k, params, 2)
         assert np.array_equal(out.data, plain.data)

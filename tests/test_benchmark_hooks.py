@@ -5,7 +5,8 @@ by name and reports per-op metrics that ``BENCHMARK.json`` declares by
 name. A package change that drops one of those names makes every traced
 benchmark run raise, which these tests catch first. They also keep the
 tensor module free of ops that neither the model runs nor the benchmark
-declares.
+declares, and pin the self/cross label the benchmark reads off the
+arguments of each attention call.
 """
 
 import json
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
+import workloads  # noqa: E402
 from metavit import tensor as T  # noqa: E402
 from metavit.model import build_variant, variant  # noqa: E402
 from metavit.tensor import Tensor  # noqa: E402
@@ -64,3 +66,18 @@ def test_patch_all_is_undone_by_close():
         tracer.close()
     for owner, attr, raw in patched:
         assert vars(owner)[attr] is raw, (owner, attr)
+
+
+def test_attention_labels_match_the_block_kind():
+    # SA blocks (s3, s4) attend each stream to itself; CA and DCA blocks (s0-s2) cross streams
+    model = build_variant(variant("tiny-narrow", num_classes=3), 0)
+    with spans.Tracer() as tracer:
+        spans.patch_all(tracer, workloads.model_block_names(model))
+        model.forward_classify(Tensor(make_synth(3, seed=0).images[:2]))
+    groups = {"attention.self": [], "attention.cross": []}
+    for span in tracer.spans:
+        if span.name.startswith("attention."):
+            block = tracer.spans[span.parent].name
+            groups[span.name].append(block.removeprefix("block.").split(".")[0])
+    assert sorted(groups["attention.self"]) == ["s3"] * 4 + ["s4"] * 2
+    assert sorted(groups["attention.cross"]) == ["s0"] + ["s1"] * 2 + ["s2"] * 2

@@ -333,7 +333,7 @@ class TestSABlock:
 
     def test_image_stream_matches_standalone_reassembly(self, rng):
         """Rebuild the image path from the same parameters, independently."""
-        from metavit.attention import AttentionConfig, MhaParams, multi_head_attention
+        from metavit.attention import MhaParams, multi_head_attention
 
         block, store = _build("sa")
         grid, tokens = make_grid(rng)
@@ -357,12 +357,11 @@ class TestSABlock:
                         conv[i, j] += wdw[:, ki, kj] * xp[i + ki, j + kj]
         x = (x + conv + p["blk.cpe.b"].data).reshape(16, DIM)
         xn = ln(x, p["blk.ln_img.g"].data, p["blk.ln_img.b"].data)
-        cfg = AttentionConfig(DIM, HEAD)
         mha = MhaParams(
             p["blk.attn.wq"], p["blk.attn.bq"], p["blk.attn.wk"], p["blk.attn.bk"],
             p["blk.attn.wv"], p["blk.attn.bv"], p["blk.attn.wo_img"], p["blk.attn.bo_img"],
         )
-        x2 = x + multi_head_attention(Tensor(xn), Tensor(xn), Tensor(xn), cfg, mha).data
+        x2 = x + multi_head_attention(Tensor(xn), Tensor(xn), mha, DIM // HEAD).data
         x2n = ln(x2, p["blk.ln_ffn_img.g"].data, p["blk.ln_ffn_img.b"].data)
         hidden = T.gelu(Tensor(x2n @ p["blk.ffn.w1"].data + p["blk.ffn.b1"].data)).data
         x3 = x2 + hidden @ p["blk.ffn.w2"].data + p["blk.ffn.b2"].data

@@ -52,6 +52,35 @@ class TestConfigFile:
         with pytest.raises(UsageError):
             load_config(str(cfg))
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "use_ca_stage", "false"), ("train", "meta_len", "4"),
+        ("infer", "variant", "small"), ("gradcheck", "out_dir", "x"),
+    ])
+    def test_key_the_command_does_not_take_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                          command, key, value):
+        assert main([command, "--" + key.replace("_", "-"), value]) == 1  # as the flag is
+        monkeypatch.setitem(cli._COMMANDS, command, _refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert _one_line_usage_error(err, repr(key)) and command in err
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMAND_KEYS))
+    def test_config_file_takes_the_commands_keys(self, tmp_path, command):
+        sample = {bool: "true", int: "2", float: "0.5", str: "x"}
+        parser = cli._build_parser()
+        for key, (kind, _, _) in cli.CONFIG_KEYS.items():
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {sample[kind]}\n")
+            args = parser.parse_args([command, "--config", str(cfg)])
+            if key in cli.COMMAND_KEYS[command][1]:
+                assert cli._settings(args)[key] == load_config(str(cfg))[key]
+            else:
+                with pytest.raises(UsageError, match=command):
+                    cli._settings(args)
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -155,6 +184,18 @@ class TestHostileValues:
                      "--out-dir", str(tmp_path / "out"), "--" + key.replace("_", "-"), value])
         assert code == 1
         assert _one_line_usage_error(capsys.readouterr().err, key)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("optimizer", ["adamw-lite", "sgd-momentum"])
+    @pytest.mark.parametrize("key", ["lr", "weight_decay"])
+    @pytest.mark.filterwarnings("error")  # the overflowing update must not warn
+    def test_train_non_finite_update_is_one_line_error(self, tmp_path, capsys, optimizer, key):
+        code = main(["train", "--variant", "tiny-narrow", "--steps", "1", "--samples", "3",
+                     "--batch-size", "3", "--optimizer", optimizer,
+                     "--out-dir", str(tmp_path / "out"), "--" + key.replace("_", "-"), "1e300"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: step 0 would write non-finite weights to stem.conv1.w\n"
         assert not (tmp_path / "out").exists()
 
     def test_train_batch_larger_than_samples(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from metavit.tensor import Tensor
 from metavit.trainer import (
     MAX_SAMPLES,
     AdamWLite,
+    NonFiniteWeights,
     SgdMomentum,
     TrainConfig,
     evaluate,
@@ -101,6 +102,23 @@ class TestOptimizers:
         p.grad = np.array([1.0], dtype=np.float32)
         opt.step()
         assert p.data[0] == 1.0  # lr 0 disables decay too
+
+    @pytest.mark.filterwarnings("error")  # the overflowing update must not warn
+    @pytest.mark.parametrize("optimizer", [SgdMomentum, AdamWLite])
+    def test_non_finite_update_raises_before_writing(self, optimizer):
+        params = [Tensor(np.array([1.0], dtype=np.float32), requires_grad=True) for _ in range(3)]
+        for p in params[1:]:  # a parameter without a gradient is skipped
+            p.grad = np.array([1.0], dtype=np.float32)
+        with pytest.raises(NonFiniteWeights) as err:
+            optimizer(params, lr=1e300).step()
+        assert err.value.index == 1
+        assert [p.data[0] for p in params] == [1.0, 1.0, 1.0]
+
+    def test_non_finite_update_names_step_and_parameter(self):
+        model = toy_model()
+        cfg = TrainConfig(steps=2, batch_size=6, weight_decay=1e300)
+        with pytest.raises(TrainingDiverged, match="^step 0 .* stem.conv1.w$"):
+            train_toy(model, make_synth(6, 0.1, 0), cfg)
 
     def test_single_step_changes_some_parameter(self, rng):
         model = toy_model()
