@@ -1,12 +1,14 @@
 """Command-line entry point.
 
-Subcommands: analyze, bench, gradcheck, train, infer, attmap. Every value
-can come from a flat key=value config file (``--config``), with command
-line flags taking precedence. ``COMMAND_KEYS`` lists the keys each
-subcommand takes; a config key outside that list is rejected just as the
-matching flag is, and so is an unknown key. Exit code
-0 on success, 1 on usage or config errors, 2 on any other ``MetavitError``
-or an OS error. Each command prints the seed it ran under.
+Subcommands: analyze, bench, gradcheck, train, infer, attmap. One table,
+``COMMANDS``, holds each subcommand's help, the ``CONFIG_KEYS`` it takes
+and its handler; it builds the flags, the config-file check and the
+dispatch, and a handler gets only its own keys. A flat key=value config
+file (``--config``) is read by ``config_flags`` as that subcommand's own
+flags, parsed before the command line's, so one parse types every value
+and the last occurrence of a flag wins. Flags are never abbreviated. Exit
+code 0 on success, 1 on usage or config errors, 2 on any other
+``MetavitError`` or an OS error. Each command prints the seed it ran under.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import csv
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from . import checkpoint as ckpt
 from . import complexity, fileio, gradcheck, trainer
 from . import tensor as T
 from .errors import ConfigError, InputError, MetavitError, UsageError
-from .model import Model, VariantSpec, export_attention_maps, variant, variant_names
+from .model import Model, export_attention_maps, variant, variant_names
 from .tensor import Tensor
 
 # key -> (parser, default, help)
@@ -58,59 +61,40 @@ CONFIG_KEYS: dict[str, tuple] = {
     "image": (str, None, "input image (.ppm or binary tensor record)"),
 }
 
-# command -> (help, the CONFIG_KEYS it takes as flags or from its config file)
-COMMAND_KEYS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "analyze": ("print the complexity report for a variant",
-                ("variant", "input", "meta_len", "num_classes", "format", "strict_dual",
-                 "use_ca_stage", "use_meta_stem", "use_meta_pooling", "seed")),
-    "bench": ("time dual cross-attention against standard attention",
-              ("mode", "n", "m", "d", "e", "iters", "warmup", "variant", "input",
-               "seed", "out_dir")),
-    "gradcheck": ("verify gradients against finite differences", ("seed",)),
-    "train": ("train the toy classifier on synthetic patterns",
-              ("variant", "steps", "batch_size", "lr", "optimizer", "weight_decay",
-               "label_smoothing", "samples", "noise_sigma", "seed", "out_dir")),
-    "infer": ("load a checkpoint and print logits for an image",
-              ("checkpoint", "image", "seed")),
-    "attmap": ("write per-meta-token attention maps for an image",
-               ("variant", "checkpoint", "image", "seed", "out_dir")),
-}
-
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_value(key: str, raw: str):
-    kind = CONFIG_KEYS[key][0]
-    if kind is bool:
-        word = raw.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise UsageError(f"config key {key!r} expects a boolean, got {raw!r}")
-        return _BOOL_WORDS[word]
-    try:
-        return kind(raw.strip())
-    except ValueError:
-        raise UsageError(f"config key {key!r} expects {kind.__name__}, got {raw!r}")
+class Command(NamedTuple):
+    help: str
+    keys: tuple[str, ...]  # the CONFIG_KEYS it takes as flags or from its config file
+    handler: Callable[[dict], int]
 
 
-def load_config(path: str) -> dict:
-    values: dict = {}
+def config_flags(path: str, command: str) -> list[str]:
+    """The key=value lines of ``path`` as ``command``'s own flags, in file order."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
+    flags = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        if "=" not in text:
+        key, eq, raw = (part.strip() for part in text.partition("="))
+        if not eq:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {text!r}")
-        key, raw = text.split("=", 1)
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
-    return values
+        if key not in COMMANDS[command].keys:
+            raise UsageError(f"{path}:{lineno}: {command} takes no config key {key!r}")
+        flag = key.replace("_", "-")
+        if CONFIG_KEYS[key][0] is not bool:
+            flags.append(f"--{flag}={raw}")
+        elif raw.lower() in _BOOL_WORDS:
+            flags.append(f"--{flag}" if _BOOL_WORDS[raw.lower()] else f"--no-{flag}")
+        else:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} expects a boolean, got {raw!r}")
+    return flags
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,56 +103,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="metavit", description=__doc__)
+    parser = _Parser(prog="metavit", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    for name, (helptext, keys) in COMMAND_KEYS.items():
-        p = sub.add_parser(name, help=helptext, description=helptext)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file")
-        for key in keys:
+        for key in command.keys:
             kind, default, khelp = CONFIG_KEYS[key]
             flag = "--" + key.replace("_", "-")
             if kind is bool:
-                group = p.add_mutually_exclusive_group()
-                group.add_argument(flag, dest=key, action="store_true", default=None, help=khelp)
-                group.add_argument(
-                    "--no-" + key.replace("_", "-"), dest=key,
-                    action="store_false", default=None,
-                    help=f"disable: {khelp}",
-                )
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, default=default,
+                               help=khelp)
             else:
-                p.add_argument(flag, dest=key, type=kind, default=None, help=khelp)
+                p.add_argument(flag, type=kind, default=default, help=khelp)
     return parser
-
-
-def _settings(args) -> dict:
-    merged = {key: spec[1] for key, spec in CONFIG_KEYS.items()}
-    if args.config:
-        values = load_config(args.config)
-        taken = COMMAND_KEYS[args.command][1]
-        for key in values:
-            if key not in taken:
-                raise UsageError(f"{args.config}: {args.command} takes no config key {key!r}")
-        merged.update(values)
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    if merged["seed"] < 0:
-        raise UsageError(f"seed must be >= 0, got {merged['seed']}")
-    return merged
-
-
-def _spec_from(settings) -> VariantSpec:
-    overrides = {}
-    if settings["meta_len"] is not None:
-        overrides["meta_len"] = settings["meta_len"]
-    if settings["num_classes"] is not None:
-        overrides["num_classes"] = settings["num_classes"]
-    for toggle in ("use_ca_stage", "use_meta_stem", "use_meta_pooling"):
-        if settings[toggle] != CONFIG_KEYS[toggle][1]:
-            overrides[toggle] = settings[toggle]
-    return variant(settings["variant"], **overrides)
 
 
 def _load_image(path: str) -> Tensor:
@@ -184,7 +132,10 @@ def _load_image(path: str) -> Tensor:
 
 
 def cmd_analyze(settings) -> int:
-    spec = _spec_from(settings)
+    fields = ("meta_len", "num_classes", "use_ca_stage", "use_meta_stem", "use_meta_pooling")
+    # meta_len and num_classes default to None, the variant's own value
+    spec = variant(settings["variant"],
+                   **{key: settings[key] for key in fields if settings[key] is not None})
     report = complexity.count_model(spec, settings["input"], strict_dual=settings["strict_dual"])
     text = complexity.emit_report(report, settings["format"])
     print(text, end="")
@@ -298,26 +249,46 @@ def cmd_attmap(settings) -> int:
     return 0
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "bench": cmd_bench,
-    "gradcheck": cmd_gradcheck,
-    "train": cmd_train,
-    "infer": cmd_infer,
-    "attmap": cmd_attmap,
+COMMANDS: dict[str, Command] = {
+    "analyze": Command("print the complexity report for a variant",
+                       ("variant", "input", "meta_len", "num_classes", "format", "strict_dual",
+                        "use_ca_stage", "use_meta_stem", "use_meta_pooling", "seed"),
+                       cmd_analyze),
+    "bench": Command("time dual cross-attention against standard attention",
+                     ("mode", "n", "m", "d", "e", "iters", "warmup", "variant", "input",
+                      "seed", "out_dir"),
+                     cmd_bench),
+    "gradcheck": Command("verify gradients against finite differences", ("seed",),
+                         cmd_gradcheck),
+    "train": Command("train the toy classifier on synthetic patterns",
+                     ("variant", "steps", "batch_size", "lr", "optimizer", "weight_decay",
+                      "label_smoothing", "samples", "noise_sigma", "seed", "out_dir",
+                      "checkpoint"),
+                     cmd_train),
+    "infer": Command("load a checkpoint and print logits for an image",
+                     ("checkpoint", "image", "seed"), cmd_infer),
+    "attmap": Command("write per-meta-token attention maps for an image",
+                      ("variant", "checkpoint", "image", "seed", "out_dir"), cmd_attmap),
 }
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if not args.command:
-            raise UsageError("a subcommand is required (analyze, bench, gradcheck, "
-                             "train, infer, attmap)")
-        settings = _settings(args)
+            raise UsageError(f"a subcommand is required ({', '.join(COMMANDS)})")
+        if args.config:  # the file's flags go first, so the command line's win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + config_flags(args.config, args.command)
+                                     + argv[at:])
+        command = COMMANDS[args.command]
+        settings = {key: getattr(args, key) for key in command.keys}
+        if settings["seed"] < 0:
+            raise UsageError(f"seed must be >= 0, got {settings['seed']}")
         print(f"seed: {settings['seed']}")
-        return _COMMANDS[args.command](settings)
+        return command.handler(settings)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

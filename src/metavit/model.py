@@ -61,6 +61,8 @@ class VariantSpec:
             raise ConfigError(f"meta_len must be >= 2, got {self.meta_len}")
         if min(self.expansion, self.meta_dim0, self.num_classes, self.cpe_kernel) < 1:
             raise ConfigError("expansion, meta_dim0, num_classes, cpe_kernel must be positive")
+        if self.cpe_kernel % 2 == 0:  # the CPE pads by k // 2, so an even k grows the grid
+            raise ConfigError(f"cpe_kernel must be odd, got {self.cpe_kernel}")
 
 
 _REGISTRY: dict[str, VariantSpec] = {

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import BAD_CONFIG_VALUES, FORGERIES, forge_config, set_config
 from metavit import cli, fileio
-from metavit.checkpoint import load_tensors, save_checkpoint, save_tensors
-from metavit.cli import load_config, main
+from metavit.checkpoint import load_checkpoint, load_tensors, save_checkpoint, save_tensors
+from metavit.cli import config_flags, main
 from metavit.errors import FormatError, MetavitError, UsageError
 from metavit.model import build_variant, variant
 
@@ -24,18 +26,41 @@ def ckpt_file(tmp_path):
     return str(path)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _stub(monkeypatch, command, handler):
+    """Run ``handler`` in place of ``command``'s own."""
+    monkeypatch.setitem(cli.COMMANDS, command, cli.COMMANDS[command]._replace(handler=handler))
+
+
+def _spy(monkeypatch, command) -> dict:
+    """The settings ``command``'s handler is called with, filled when it runs."""
+    seen = {}
+    _stub(monkeypatch, command, lambda settings: seen.update(settings) or 0)
+    return seen
+
+
 class TestConfigFile:
-    def test_values_parsed_and_typed(self, tmp_path):
+    def test_values_parsed_and_typed(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nvariant = small\ninput=96\nstrict_dual = true\n")
-        values = load_config(str(cfg))
-        assert values == {"variant": "small", "input": 96, "strict_dual": True}
+        assert config_flags(str(cfg), "analyze") == ["--variant=small", "--input=96",
+                                                     "--strict-dual"]
+        seen = _spy(monkeypatch, "analyze")
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert (seen["variant"], seen["input"], seen["strict_dual"]) == ("small", 96, True)
+        assert type(seen["input"]) is int and seen["format"] == "table"
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("variantt = small\n")
-        with pytest.raises(UsageError):
-            load_config(str(cfg))
+        cfg.write_text("variant = small\n\nvariantt = small\n")
+        with pytest.raises(UsageError, match=f"{cfg}:3"):
+            config_flags(str(cfg), "analyze")
+        _stub(monkeypatch, "analyze", _refuse)
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        assert _one_line_usage_error(capsys.readouterr().err, f"{cfg}:3: analyze takes no "
+                                                             f"config key 'variantt'")
 
     def test_flag_overrides_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -46,11 +71,20 @@ class TestConfigFile:
         # small has six stride-16 blocks, tiny would have eight
         assert "s3.b5" in out and "s3.b7" not in out
 
-    def test_bad_value_type(self, tmp_path):
+    def test_bad_value_type(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("input = tiny\n")
-        with pytest.raises(UsageError):
-            load_config(str(cfg))
+        _stub(monkeypatch, "analyze", _refuse)
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert _one_line_usage_error(err, "argument --input: invalid int value: 'tiny'")
+
+    def test_bad_boolean_word(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("use_ca_stage = maybe\n")
+        _stub(monkeypatch, "analyze", _refuse)
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        assert _one_line_usage_error(capsys.readouterr().err, f"{cfg}:1")
 
     @pytest.mark.parametrize("command,key,value", [
         ("train", "use_ca_stage", "false"), ("train", "meta_len", "4"),
@@ -59,7 +93,7 @@ class TestConfigFile:
     def test_key_the_command_does_not_take_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                                           command, key, value):
         assert main([command, "--" + key.replace("_", "-"), value]) == 1  # as the flag is
-        monkeypatch.setitem(cli._COMMANDS, command, _refuse)
+        _stub(monkeypatch, command, _refuse)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
         capsys.readouterr()
@@ -67,19 +101,50 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert _one_line_usage_error(err, repr(key)) and command in err
 
-    @pytest.mark.parametrize("command", sorted(cli.COMMAND_KEYS))
-    def test_config_file_takes_the_commands_keys(self, tmp_path, command):
-        sample = {bool: "true", int: "2", float: "0.5", str: "x"}
-        parser = cli._build_parser()
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_config_file_takes_the_commands_keys(self, tmp_path, capsys, monkeypatch, command):
+        sample = {bool: ("true", True), int: ("2", 2), float: ("0.5", 0.5), str: ("x", "x")}
+        taken = cli.COMMANDS[command].keys
         for key, (kind, _, _) in cli.CONFIG_KEYS.items():
             cfg = tmp_path / f"{key}.cfg"
-            cfg.write_text(f"{key} = {sample[kind]}\n")
-            args = parser.parse_args([command, "--config", str(cfg)])
-            if key in cli.COMMAND_KEYS[command][1]:
-                assert cli._settings(args)[key] == load_config(str(cfg))[key]
+            cfg.write_text(f"{key} = {sample[kind][0]}\n")
+            seen = _spy(monkeypatch, command)
+            code = main([command, "--config", str(cfg)])
+            out, err = capsys.readouterr()
+            if key in taken:
+                assert code == 0 and err == ""
+                assert set(seen) == set(taken)  # a handler gets only its own keys
+                assert seen[key] == sample[kind][1] and type(seen[key]) is kind
             else:
-                with pytest.raises(UsageError, match=command):
-                    cli._settings(args)
+                assert code == 1 and not seen and out == ""
+                assert _one_line_usage_error(err, f"{command} takes no config key {key!r}")
+
+    def test_boolean_flag_beats_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("use_ca_stage = false\nformat = csv\n")
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert "\ns0.b0," not in capsys.readouterr().out
+        assert main(["analyze", "--config", str(cfg), "--use-ca-stage"]) == 0
+        assert "\ns0.b0," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags,keeps_s0", [
+        (["--no-use-ca-stage", "--use-ca-stage"], True),
+        (["--use-ca-stage", "--no-use-ca-stage"], False),
+    ])
+    def test_last_boolean_flag_wins(self, capsys, flags, keeps_s0):
+        assert main(["analyze", "--format", "csv"] + flags) == 0
+        assert ("\ns0.b0," in capsys.readouterr().out) == keeps_s0
+
+    @pytest.mark.parametrize("name", ["tiny", "small", "base"])
+    def test_csv_matches_golden_from_flags_and_file(self, tmp_path, capsys, name):
+        golden = "seed: 0\n" + (GOLDEN / f"analyze_{name}.csv").read_text()
+        assert main(["analyze", "--variant", name, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == golden
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"variant = {name}\nformat = csv\ninput = 224\nuse_ca_stage = yes\n"
+                       "use_meta_stem = 1\nuse_meta_pooling = true\nstrict_dual = no\n")
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == golden
 
 
 class TestExitCodes:
@@ -92,6 +157,18 @@ class TestExitCodes:
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("command,flag,value", [("analyze", "--m", "4"),
+                                                    ("train", "--n", "1e38")])
+    def test_abbreviated_flag_is_usage_error(self, capsys, monkeypatch, command, flag, value):
+        _stub(monkeypatch, command, _refuse)
+        assert main([command, flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and _one_line_usage_error(err, f"unrecognized arguments: {flag} {value}")
+
+    def test_full_flag_still_runs(self, capsys):
+        assert main(["analyze", "--meta-len", "4", "--format", "csv"]) == 0
+        assert "\ns1.b0,dca,3136,4,64," in capsys.readouterr().out
 
     def test_unknown_variant_is_usage_error(self, capsys):
         assert main(["analyze", "--variant", "huge"]) == 1
@@ -152,7 +229,7 @@ class TestExitCodes:
         def fail(settings):
             raise UnlistedError("unlisted failure")
 
-        monkeypatch.setitem(cli._COMMANDS, "analyze", fail)
+        _stub(monkeypatch, "analyze", fail)
         assert main(["analyze"]) == 2
         assert "unlisted failure" in capsys.readouterr().err
 
@@ -226,10 +303,10 @@ class TestHostileValues:
         assert not (tmp_path / "bench.csv").exists()
 
 
-    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_negative_seed(self, capsys, monkeypatch, command):
-        for name in cli._COMMANDS:
-            monkeypatch.setitem(cli._COMMANDS, name, _refuse)
+        for name in cli.COMMANDS:
+            _stub(monkeypatch, name, _refuse)
         assert main([command, "--seed", "-1"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and _one_line_usage_error(err, "seed")
@@ -299,7 +376,7 @@ class TestBenchAndGradcheck:
         assert (out_dir / "bench.csv").exists()
 
     def test_bench_has_no_format_flag(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli._COMMANDS, "bench", _refuse)
+        _stub(monkeypatch, "bench", _refuse)
         assert main(["bench", "--format", "csv"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and _one_line_usage_error(err, "--format")
@@ -325,6 +402,24 @@ class TestTrainInferAttmap:
         assert (tmp_path / "model.lmvt").exists()
         out = capsys.readouterr().out
         assert "seed: 0" in out and "train accuracy" in out
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_train_writes_checkpoint_where_asked(self, tmp_path, capsys, from_file):
+        path = tmp_path / "elsewhere" / "run.lmvt"
+        path.parent.mkdir()
+        argv = ["train", "--variant", "tiny-narrow", "--steps", "1", "--samples", "3",
+                "--batch-size", "3", "--out-dir", str(tmp_path / "out")]
+        if from_file:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"checkpoint = {path}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--checkpoint", str(path)]
+        assert main(argv) == 0
+        assert f"and {path}\n" in capsys.readouterr().out
+        assert path.exists() and (tmp_path / "out" / "history.csv").exists()
+        assert not (tmp_path / "out" / "model.lmvt").exists()
+        assert load_checkpoint(str(path)).spec.num_classes == 3
 
     @pytest.mark.parametrize("flag,value", [("--lr", "1e19"), ("--weight-decay", "9.2e18")])
     @pytest.mark.filterwarnings("error")  # the diverged forwards must not warn either

@@ -61,6 +61,12 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="cpe_kernel"):
             variant("tiny", cpe_kernel=kernel)
 
+    @pytest.mark.parametrize("kernel", [2, 4])
+    def test_even_cpe_kernel_rejected(self, kernel):
+        # padded by k // 2, an even kernel would grow the 16x16 grid to 17x17
+        with pytest.raises(ConfigError, match=f"cpe_kernel must be odd, got {kernel}"):
+            variant("tiny-narrow", cpe_kernel=kernel)
+
     # sha256 over each seed-0 parameter's name, shape and float32 bytes, in
     # registration order; any change to initialization or naming moves it
     SEED0_DIGESTS = {
@@ -339,6 +345,13 @@ class TestCheckpoint:
         set_config(path, key, entry, value)
         stored = float(np.float32(value))
         with pytest.raises(FormatError, match=re.escape(f"{key!r} holds {stored!r}")):
+            load_checkpoint(path)
+
+    def test_even_cpe_kernel_in_config_rejected(self, tmp_path):
+        path = str(tmp_path / "m.lmvt")
+        save_checkpoint(toy_model(), path)
+        set_config(path, "config/scalars", 4, 4)  # cpe_kernel
+        with pytest.raises(FormatError, match="cpe_kernel must be odd, got 4"):
             load_checkpoint(path)
 
     def test_config_record_read_as_flat_values(self, tmp_path):
