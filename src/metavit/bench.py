@@ -185,26 +185,23 @@ def speedup(sa: BenchResult, dca: BenchResult) -> float:
 
 
 def bench_model(
-    spec: VariantSpec, input_hw, iters: int = MIN_ITERS,
+    spec: VariantSpec, input_px: int, iters: int = MIN_ITERS,
     warmup: int = MIN_WARMUP, seed: int = 0,
 ) -> BenchResult:
-    """Images per second over the full classification forward pass."""
+    """Images per second over the full classification forward pass of one
+    square ``input_px`` x ``input_px`` image."""
     _check_loop(iters, warmup)
-    if isinstance(input_hw, int):
-        input_hw = (input_hw, input_hw)
-    for extent in input_hw:
-        if extent % 32 or not 64 <= extent <= MAX_INPUT:
-            raise UsageError(f"input extents must be multiples of 32 in [64, {MAX_INPUT}], "
-                             f"got {input_hw[0]}x{input_hw[1]}")
+    if input_px % 32 or not 64 <= input_px <= MAX_INPUT:
+        raise UsageError(f"input extent must be a multiple of 32 in [64, {MAX_INPUT}], "
+                         f"got {input_px}")
     model = Model(spec, seed)
     rng = np.random.default_rng(seed)
-    img = rng.standard_normal((3,) + tuple(input_hw)).astype(np.float32)
+    img = rng.standard_normal((3, input_px, input_px)).astype(np.float32)
 
     def fn():
         with T.no_grad():
             model.forward_classify(Tensor(img))
 
     samples = _time_loop(fn, warmup, iters)
-    n_tokens = (input_hw[0] // 4) * (input_hw[1] // 4)
-    return _result(f"model:{spec.name}@{input_hw[0]}", n_tokens, spec.meta_len,
+    return _result(f"model:{spec.name}@{input_px}", (input_px // 4) ** 2, spec.meta_len,
                    spec.dims[0], warmup, samples)

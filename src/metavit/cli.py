@@ -202,11 +202,11 @@ def cmd_train(settings) -> int:
     history = trainer.train_toy(model, ds, cfg)
     accuracy = trainer.evaluate(model, ds)
     os.makedirs(settings["out_dir"], exist_ok=True)
+    ckpt_path = settings["checkpoint"] or os.path.join(settings["out_dir"], "model.lmvt")
+    ckpt.save_checkpoint(model, ckpt_path)
     hist_path = os.path.join(settings["out_dir"], "history.csv")
     with open(hist_path, "w", encoding="utf-8") as f:
         f.write(trainer.history_csv(history))
-    ckpt_path = settings["checkpoint"] or os.path.join(settings["out_dir"], "model.lmvt")
-    ckpt.save_checkpoint(model, ckpt_path)
     if history:
         print(f"final step loss: {history[-1].loss:.4f}")
     print(f"train accuracy: {accuracy:.4f}")

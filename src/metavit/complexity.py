@@ -132,16 +132,11 @@ def block_cost(route: Route, n: int, m: int, d: int, e: int, cpe_kernel: int):
     return params, macs, attn_macs
 
 
-def count_model(
-    spec: VariantSpec, input_hw, strict_dual: bool = False
-) -> ComplexityReport:
-    """Per-layer accounting over the exact stage layout of a built model."""
-    if isinstance(input_hw, int):
-        h = w = input_hw
-    else:
-        h, w = input_hw
-    if h % 32 or w % 32 or h < 64 or w < 64:
-        raise ConfigError(f"input extents must be multiples of 32 and >= 64, got {h}x{w}")
+def count_model(spec: VariantSpec, input_px: int, strict_dual: bool = False) -> ComplexityReport:
+    """Per-layer accounting over the exact stage layout of a built model
+    for one square ``input_px`` x ``input_px`` image."""
+    if input_px % 32 or input_px < 64:
+        raise ConfigError(f"input extent must be a multiple of 32 and >= 64, got {input_px}")
 
     d1, d4 = spec.dims[0], spec.dims[-1]
     m = spec.meta_len
@@ -149,11 +144,14 @@ def count_model(
     k = spec.cpe_kernel
     report = ComplexityReport()
 
+    def grid(stride: int) -> int:
+        return (input_px // stride) ** 2
+
     mid = d1 // 2
-    stem_macs = 9 * 3 * mid * (h // 2) * (w // 2) + 9 * mid * d1 * (h // 4) * (w // 4)
+    stem_macs = 9 * 3 * mid * grid(2) + 9 * mid * d1 * grid(4)
     stem_params = 3 * mid * 9 + mid + mid * d1 * 9 + d1
     report.entries.append(
-        ComplexityEntry("stem", "stem", (h // 4) * (w // 4), 0, d1, e, 0, 0, stem_macs, stem_params)
+        ComplexityEntry("stem", "stem", grid(4), 0, d1, e, 0, 0, stem_macs, stem_params)
     )
 
     meta_d0 = spec.meta_dim0 if spec.use_meta_stem else d1
@@ -169,9 +167,6 @@ def count_model(
                 d0 * d1 + d1 + d1 * d1 + d1,
             )
         )
-
-    def grid(stride: int) -> int:
-        return (h // stride) * (w // stride)
 
     layout = group_layout(spec)
     for gi, g in enumerate(layout):

@@ -113,18 +113,18 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
     xc, wc, bc = leaf(2, 6, 6, 3), leaf(4, 3, 3, 3), leaf(4)
     cases.append(CheckCase(
         "conv2d",
-        fd_check(lambda: _weighted_sum(T.conv2d(xc, wc, bc, stride=2, padding=1)), [xc, wc, bc]),
+        fd_check(lambda: _weighted_sum(T.conv2d(xc, wc, bc, stride=2)), [xc, wc, bc]),
     ))
 
     xd, wd, bd = leaf(2, 5, 5, 4), leaf(4, 1, 3, 3), leaf(4)
     cases.append(CheckCase(
         "conv2d-depthwise",
-        fd_check(lambda: _weighted_sum(T.conv2d(xd, wd, bd, stride=1, padding=1)), [xd, wd, bd]),
+        fd_check(lambda: _weighted_sum(T.conv2d(xd, wd, bd)), [xd, wd, bd]),
     ))
 
     cases.append(CheckCase(
         "conv2d-depthwise-stride2",
-        fd_check(lambda: _weighted_sum(T.conv2d(xd, wd, bd, stride=2, padding=1)), [xd, wd, bd]),
+        fd_check(lambda: _weighted_sum(T.conv2d(xd, wd, bd, stride=2)), [xd, wd, bd]),
     ))
     rng.standard_normal(314)  # skip 314 draws so the cases below keep their inputs
 
@@ -177,11 +177,11 @@ def _kernel_cases(seed: int) -> list[CheckCase]:
         "attention-unbounded",
         fd_check(lambda: _weighted_sum(T.attention(qu, ku, vu, 1.0)), [qu, ku, vu]),
     ))
-    # a 5x5 CPE kernel (VariantSpec.cpe_kernel = 5) with the CPE's padding k // 2
+    # a 5x5 CPE kernel (VariantSpec.cpe_kernel = 5)
     x5, w5, b5 = leaf(2, 6, 7, 4), leaf(4, 1, 5, 5), leaf(4)
     cases.append(CheckCase(
         "conv2d-depthwise-5x5",
-        fd_check(lambda: _weighted_sum(T.conv2d(x5, w5, b5, stride=1, padding=2)), [x5, w5, b5]),
+        fd_check(lambda: _weighted_sum(T.conv2d(x5, w5, b5)), [x5, w5, b5]),
     ))
     return cases
 

@@ -251,10 +251,8 @@ class Model:
         return (logits, maps) if return_attention else logits
 
 
-def build_variant(spec: VariantSpec | str, seed: int, dtype=np.float32) -> Model:
+def build_variant(spec: VariantSpec, seed: int, dtype=np.float32) -> Model:
     """Deterministically initialize a model from an architecture description."""
-    if isinstance(spec, str):
-        spec = variant(spec)
     return Model(spec, seed, dtype=dtype)
 
 

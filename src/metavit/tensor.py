@@ -53,7 +53,8 @@ def no_grad():
 
 
 class MacCounter:
-    """Counts multiply-accumulate operations executed by matmul/conv kernels.
+    """Counts the multiply-accumulate operations of ``linear``, ``attention``,
+    ``conv2d`` and ``matmul``.
 
     Elementwise arithmetic, normalizations, and activations are not counted;
     the meter reflects the same convention as the analytic ``macs`` column
@@ -103,16 +104,16 @@ class Node:
 class Tensor:
     """Dense row-major numeric array with an optional gradient slot.
 
-    ``node`` is the ``Node`` that recorded this tensor, or None for a leaf.
+    The dtype comes from ``data``: float32 and float64 stay as they are,
+    and anything else becomes float32. ``node`` is the ``Node`` that
+    recorded this tensor, or None for a leaf.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in _FLOAT_DTYPES:
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
@@ -691,10 +692,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # convolution
 
 
-def _conv_out_extent(extent: int, k: int, stride: int, padding: int) -> int:
-    return (extent + 2 * padding - k) // stride + 1
-
-
 def _windows(a: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """The (B, Ho, Wo, k, k, C) view of the k x k window of (B, H, W, C) ``a``
     that each output position reads."""
@@ -717,14 +714,16 @@ def _depthwise_taps(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w[:, 0].transpose(1, 2, 0))
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """Dense or depthwise 2-D cross-correlation over channels-last input, plus a bias.
 
     ``x`` is (H, W, Cin) or (B, H, W, Cin) and the output is (Ho, Wo, Cout)
-    or (B, Ho, Wo, Cout); ``b`` is (Cout,). The weight's shape sets the
+    or (B, Ho, Wo, Cout); ``b`` is (Cout,). The input is zero-padded by
+    k // 2 on every side, so with an odd k the output extents are
+    ceil(H / stride) and ceil(W / stride). The weight's shape sets the
     kind: (Cout, Cin, k, k) is dense, and (Cin, 1, k, k) with Cin > 1 is
     depthwise (so with Cin = 1 a (Cout, 1, k, k) weight is dense); any
-    other weight, a stride below 1 or a padding outside [0, k) raises
+    other weight, a stride below 1 or an empty H or W raises
     ``DimensionError``. A token grid (..., H*W, D) reshaped to
     (..., H, W, D) is a valid input without a copy. Every output position
     reads a (k, k, Cin) window of one strided view.
@@ -732,7 +731,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     Depthwise, the forward and dw are one einsum over the windows each, and
     dx is the forward's window einsum again, with the kernel flipped in
     both axes, over an (H + k - 1, W + k - 1) zero grid that holds the
-    output gradient ``stride`` apart from offset k - 1 - padding. Dense,
+    output gradient ``stride`` apart from offset k - 1 - k // 2. Dense,
     the windows are copied into (B*Ho*Wo, k*k*Cin) im2col rows, and the
     forward, dw and dx are one matrix product each, the forward and dx
     against the weight as (Cout, k*k*Cin) rows (``_dense_rows``, formed
@@ -758,22 +757,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             f"conv2d weight {w.shape} is neither dense (Cout, {cin}, k, k) nor "
             f"depthwise ({cin}, 1, k, k) for Cin={cin}"
         )
-    if stride < 1 or not 0 <= padding < k:
-        raise DimensionError(
-            f"conv2d needs stride >= 1 and padding in [0, {k}), got {stride} and {padding}"
-        )
-    if h + 2 * padding < k or wd_ + 2 * padding < k:
-        raise DimensionError(
-            f"kernel {k}x{k} larger than padded input {h + 2 * padding}x{wd_ + 2 * padding}"
-        )
-    ho = _conv_out_extent(h, k, stride, padding)
-    wo = _conv_out_extent(wd_, k, stride, padding)
+    if stride < 1:
+        raise DimensionError(f"conv2d needs stride >= 1, got {stride}")
+    if h < 1 or wd_ < 1:
+        raise DimensionError(f"conv2d needs a non-empty grid, got {h}x{wd_}")
+    pad = k // 2
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (wd_ + 2 * pad - k) // stride + 1
     _count_macs(bsz * cout * ho * wo * cin_g * k * k)
 
-    if padding:
-        xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    else:
-        xp = xd
+    xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else xd
     win = _windows(xp, k, stride, ho, wo)
     n = bsz * ho * wo
     wdata = w.data
@@ -786,7 +779,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
     def input_grad(gg):
         if depthwise:
-            lead = k - 1 - padding
+            lead = k - 1 - pad
             grid = np.zeros((bsz, h + k - 1, wd_ + k - 1, cin), dtype=gg.dtype)
             grid[:, lead : lead + ho * stride : stride, lead : lead + wo * stride : stride] = gg
             flipped = _depthwise_taps(wdata)[::-1, ::-1]
@@ -796,8 +789,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             dcols = dcols.reshape(bsz, ho, wo, k, k, cin)
             # the padded dx, its extents rounded up to whole strides, as
             # (B, rows / stride, stride, cols / stride, stride, Cin)
-            dx6 = np.zeros((bsz, -(-(h + 2 * padding) // stride), stride,
-                            -(-(wd_ + 2 * padding) // stride), stride, cin), dtype=gg.dtype)
+            dx6 = np.zeros((bsz, -(-(h + 2 * pad) // stride), stride,
+                            -(-(wd_ + 2 * pad) // stride), stride, cin), dtype=gg.dtype)
             for qi in range((k - 1) // stride + 1):
                 for qj in range((k - 1) // stride + 1):
                     # the up to stride x stride taps from (qi, qj) * stride write
@@ -807,7 +800,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
                     src = src.transpose(0, 1, 3, 2, 4, 5)
                     dx6[:, qi : qi + ho, : src.shape[2], qj : qj + wo, : src.shape[4]] += src
             dxp = dx6.reshape(bsz, dx6.shape[1] * stride, dx6.shape[3] * stride, cin)
-            dx = dxp[:, padding : padding + h, padding : padding + wd_]
+            dx = dxp[:, pad : pad + h, pad : pad + wd_]
         return dx[0] if squeeze else dx
 
     def vjp(g):

@@ -30,6 +30,7 @@ STRIPE_PERIOD = 8
 IMAGE_SIDE = 64
 MAX_SAMPLES = (1 << 30) // (3 * IMAGE_SIDE**2 * 4)  # 21,845: 1 GiB of float32 images
 CLASS_NAMES = ("horizontal", "vertical", "checkerboard")
+EVAL_BATCH = 64  # images per forward in ``evaluate``
 
 
 @dataclass
@@ -223,8 +224,9 @@ def train_toy(model: Model, ds: SynthDataset, cfg: TrainConfig) -> list[HistoryR
     return history
 
 
-def evaluate(model: Model, ds: SynthDataset, batch_size: int = 64) -> float:
-    """Argmax-logit accuracy over the dataset; leaves the model untouched.
+def evaluate(model: Model, ds: SynthDataset) -> float:
+    """Argmax-logit accuracy over the dataset, ``EVAL_BATCH`` samples per
+    forward; leaves the model untouched.
 
     Raises ``TrainingDiverged`` if any logit is NaN or infinite, which is
     how a last optimizer step that broke the weights shows; the forwards
@@ -233,8 +235,8 @@ def evaluate(model: Model, ds: SynthDataset, batch_size: int = 64) -> float:
     """
     correct = 0
     with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(ds), batch_size):
-            stop = min(start + batch_size, len(ds))
+        for start in range(0, len(ds), EVAL_BATCH):
+            stop = min(start + EVAL_BATCH, len(ds))
             logits = model.forward_classify(Tensor(ds.images[start:stop])).data
             if not np.isfinite(logits).all():
                 raise TrainingDiverged(

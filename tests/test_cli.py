@@ -432,6 +432,16 @@ class TestTrainInferAttmap:
         assert "train accuracy" not in out
         assert not (tmp_path / "out").exists()
 
+    def test_train_unwritable_checkpoint_leaves_no_history(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["train", "--variant", "tiny-narrow", "--steps", "1", "--samples", "3",
+                     "--batch-size", "3", "--out-dir", str(out_dir),
+                     "--checkpoint", str(out_dir / "missing" / "m.lmvt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out_dir / "history.csv").exists()
+
     def test_infer_prints_logits(self, capsys, ckpt_file, image_file):
         code = main(["infer", "--checkpoint", ckpt_file, "--image", image_file])
         assert code == 0
@@ -444,6 +454,14 @@ class TestTrainInferAttmap:
         first = capsys.readouterr().out
         main(["infer", "--checkpoint", ckpt_file, "--image", image_file])
         assert capsys.readouterr().out == first
+
+    def test_infer_non_square_image(self, tmp_path, capsys, ckpt_file, rng):
+        path = tmp_path / "wide.ten"
+        arr = rng.standard_normal((3, 64, 96)).astype(np.float32)
+        fileio.write_tensor_file(str(path), arr, name="image")
+        assert main(["infer", "--checkpoint", ckpt_file, "--image", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert len(out.split("logits: ")[1].split("\n")[0].split()) == 3
 
     def test_infer_accepts_ppm(self, tmp_path, capsys, ckpt_file, rng):
         ppm = tmp_path / "img.ppm"

@@ -79,7 +79,7 @@ class TestRegistry:
     @pytest.mark.parametrize("name", variant_names())
     def test_seed0_parameters_pinned(self, name):
         digest = hashlib.sha256()
-        for key, p in build_variant(name, 0).parameters().items():
+        for key, p in build_variant(variant(name), 0).parameters().items():
             digest.update(key.encode())
             digest.update(str(p.shape).encode())
             digest.update(p.data.tobytes())
@@ -95,6 +95,25 @@ class TestForward:
         assert [(g.height, g.width, g.dim) for g in feats] == [
             (16, 16, 32), (8, 8, 64), (4, 4, 96), (2, 2, 128),
         ]
+
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_cpe_kernel_keeps_grids_and_counted_macs(self, rng, kernel):
+        spec = variant("tiny-narrow", num_classes=3, cpe_kernel=kernel)
+        model = build_variant(spec, 0)
+        img = toy_image(rng, batch=2)
+        with T.no_grad():
+            feats = model.forward_features(img)
+            with T.MacCounter() as meter:
+                model.forward_classify(img)
+        assert [(g.height, g.width) for g in feats] == [(16, 16), (8, 8), (4, 4), (2, 2)]
+        report = complexity.count_model(spec, 64)
+        assert meter.total == 2 * (report.total_macs + report.total_attn_macs)
+
+    def test_non_square_image_grids(self, rng):
+        img = Tensor(rng.standard_normal((3, 64, 96)).astype(np.float32))
+        with T.no_grad():
+            feats = toy_model().forward_features(img)
+        assert [(g.height, g.width) for g in feats] == [(16, 24), (8, 12), (4, 6), (2, 3)]
 
     def test_tiny_at_224_token_counts(self, rng):
         # one full-size pass; stage token counts 3136/784/196/49
@@ -294,7 +313,7 @@ class TestCheckpoint:
 
     def test_saved_bytes_pinned(self, tmp_path):
         path = tmp_path / "m.lmvt"
-        save_checkpoint(build_variant("tiny-narrow", 0), str(path))
+        save_checkpoint(build_variant(variant("tiny-narrow"), 0), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "ffbbfeef94d145bd5ae76a15233238279ec64009af1722d04eb892c7dd0463e2"
         )

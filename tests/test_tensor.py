@@ -163,7 +163,7 @@ class TestLayerNorm:
         weight = rng.standard_normal(shape)
         grads = []
         for dtype in (np.float32, np.float64):
-            leaves = [Tensor(a, dtype=dtype, requires_grad=True) for a in arrays]
+            leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
             T.backward(weighted_sum(T.layer_norm(*leaves), weight))
             grads.append([t.grad for t in leaves])
         for g32, g64 in zip(*grads):
@@ -200,14 +200,14 @@ class TestGelu:
         # +-4 sqrt(2) is where the Eigen/XLA rational erf clips its argument
         edge = 4 * math.sqrt(2)
         x = np.concatenate([np.linspace(-10, 10, 400_001), [-edge, edge]]).astype(np.float32)
-        exact = T.gelu(Tensor(x, dtype=np.float64)).data  # scipy erf
+        exact = T.gelu(Tensor(x.astype(np.float64))).data  # scipy erf
         got = T.gelu(Tensor(x)).data
         assert got.dtype == np.float32
         assert np.abs(got - exact).max() < 2e-6
 
     def test_float32_within_2e6_of_exact_on_random_points(self):
         x = np.random.default_rng(15).uniform(-10, 10, 2_000_000).astype(np.float32)
-        leaves = [Tensor(x, dtype=dtype, requires_grad=True) for dtype in (np.float32, np.float64)]
+        leaves = [Tensor(x.astype(dtype), requires_grad=True) for dtype in (np.float32, np.float64)]
         got, exact = (T.gelu(leaf) for leaf in leaves)
         assert np.abs(got.data - exact.data).max() < 2e-6
         for out in (got, exact):
@@ -217,14 +217,14 @@ class TestGelu:
 
     def test_float32_within_2e6_of_exact_far_left(self):
         x = -np.logspace(1, 38, 20_001).astype(np.float32)
-        exact = T.gelu(Tensor(x, dtype=np.float64)).data
+        exact = T.gelu(Tensor(x.astype(np.float64))).data
         assert np.abs(T.gelu(Tensor(x)).data - exact).max() < 2e-6
 
     def test_float32_non_finite_as_float64(self):
         x = np.array([np.inf, -np.inf, np.nan], dtype=np.float32)
         with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
             got = T.gelu(Tensor(x)).data
-            want = T.gelu(Tensor(x, dtype=np.float64)).data
+            want = T.gelu(Tensor(x.astype(np.float64))).data
         assert_allclose(got, want, rtol=0, atol=0)
 
     def test_float32_normal_cdf_in_unit_interval(self):
@@ -258,7 +258,7 @@ class TestGelu:
         weight = rng.standard_normal(4000)
         grads = []
         for dtype in (np.float32, np.float64):
-            leaf = Tensor(x, dtype=dtype, requires_grad=True)
+            leaf = Tensor(x.astype(dtype), requires_grad=True)
             T.backward(weighted_sum(T.gelu(leaf), weight))
             grads.append(leaf.grad)
         assert grads[0].dtype == np.float32
@@ -315,7 +315,7 @@ class TestConv2d:
     def test_all_ones_kernel_border_sums(self):
         x = Tensor(_nhwc(np.ones((1, 5, 5))))
         w = Tensor(np.ones((1, 1, 3, 3)))
-        out = _nchw(T.conv2d(x, w, Tensor(np.zeros(1)), padding=1).data)[0]
+        out = _nchw(T.conv2d(x, w, Tensor(np.zeros(1))).data)[0]
         assert out[2, 2] == 9.0
         assert out[0, 2] == 6.0
         assert out[0, 0] == 4.0
@@ -323,25 +323,25 @@ class TestConv2d:
     def test_stride2_shape_arithmetic(self):
         x = Tensor(_nhwc(np.zeros((3, 224, 224), dtype=np.float32)))
         w = Tensor(np.zeros((8, 3, 3, 3), dtype=np.float32))
-        out = T.conv2d(x, w, Tensor(np.zeros(8, dtype=np.float32)), stride=2, padding=1)
+        out = T.conv2d(x, w, Tensor(np.zeros(8, dtype=np.float32)), stride=2)
         assert _nchw(out.data).shape == (8, 112, 112)
 
-    @pytest.mark.parametrize("stride,padding,groups", [(1, 0, 1), (2, 1, 1), (1, 1, 2), (2, 1, 4)])
-    def test_against_sliding_window_oracle(self, rng, stride, padding, groups):
+    # a (2 half + 1)-square kernel, which conv2d pads by half
+    @pytest.mark.parametrize("stride,half,groups", [(1, 0, 1), (2, 1, 1), (1, 1, 2), (2, 1, 4)])
+    def test_against_sliding_window_oracle(self, rng, stride, half, groups):
         cin, cout = (4, 8) if groups == 1 else (groups, groups)  # dense or depthwise
         x = rng.standard_normal((2, cin, 6, 7))
-        w = rng.standard_normal((cout, cin // groups, 3, 3))
+        w = rng.standard_normal((cout, cin // groups, 2 * half + 1, 2 * half + 1))
         b = rng.standard_normal(cout)
-        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), stride=stride,
-                       padding=padding).data
-        assert_allclose(_nchw(got), naive_conv2d(x, w, b, stride, padding, groups),
+        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), stride=stride).data
+        assert_allclose(_nchw(got), naive_conv2d(x, w, b, stride, half, groups),
                         rtol=1e-6, atol=1e-8)
 
     def test_groups1_equals_im2col_reference(self, rng):
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
         w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
         b = rng.standard_normal(5).astype(np.float32)
-        got = _nchw(T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), stride=1, padding=1).data)
+        got = _nchw(T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b)).data)
         # independent im2col assembled with stride tricks and einsum
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         s0, s1, s2, s3 = xp.strides
@@ -354,7 +354,7 @@ class TestConv2d:
         x = rng.standard_normal((2, d, 5, 5))
         w = rng.standard_normal((d, 1, 3, 3))
         b = rng.standard_normal(d)
-        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), padding=1).data
+        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b)).data
         assert_allclose(_nchw(got), naive_conv2d(x, w, b, 1, 1, d), rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("cin,cout", [(1, 1), (1, 3), (5, 5)])
@@ -364,7 +364,7 @@ class TestConv2d:
         x = rng.standard_normal((2, cin, 5, 6))
         w = rng.standard_normal((cout, 1, 3, 3))
         b = rng.standard_normal(cout)
-        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), padding=1).data
+        got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b)).data
         assert_allclose(_nchw(got), naive_conv2d(x, w, b, 1, 1, groups), rtol=1e-6, atol=1e-8)
 
     def test_bad_groups_rejected(self):
@@ -376,35 +376,37 @@ class TestConv2d:
                          Tensor(np.zeros(wshape[0])))
 
     def test_kernel_larger_than_padded_input_rejected(self):
-        with pytest.raises(DimensionError):
-            T.conv2d(Tensor(_nhwc(np.zeros((1, 2, 2)))), Tensor(np.zeros((1, 1, 3, 3))),
+        # padded by k // 2, only an empty axis is still smaller than an odd kernel
+        with pytest.raises(DimensionError, match="non-empty grid"):
+            T.conv2d(Tensor(_nhwc(np.zeros((1, 0, 2)))), Tensor(np.zeros((1, 1, 3, 3))),
                      Tensor(np.zeros(1)))
 
-    @pytest.mark.parametrize("stride,padding", [(0, 1), (-1, 1), (1, -1), (1, 3), (2, 4)])
-    def test_stride_and_padding_outside_range_rejected(self, stride, padding):
-        with pytest.raises(DimensionError, match="stride >= 1 and padding in"):
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(DimensionError, match="stride >= 1"):
             T.conv2d(Tensor(np.zeros((6, 6, 2))), Tensor(np.zeros((2, 2, 3, 3))),
-                     Tensor(np.zeros(2)), stride=stride, padding=padding)
+                     Tensor(np.zeros(2)), stride=stride)
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "3d"])
-    @pytest.mark.parametrize("kind,k,stride,padding", [
-        (kind, k, stride, padding)
+    @pytest.mark.parametrize("kind,k,stride,trim", [
+        (kind, k, stride, trim)
         for kind in ("dense", "depthwise") for k in (1, 3, 5)
-        for stride in (1, 2, 3) for padding in range(k)
+        for stride in (1, 2, 3) for trim in range(k)
     ])
-    def test_gradients_equal_loop_vjp(self, rng, kind, k, stride, padding, batched):
-        # float64 over a 7 x 6 input, so both an odd and an even extent
+    def test_gradients_equal_loop_vjp(self, rng, kind, k, stride, trim, batched):
+        # float64 over a (7 - trim) x (6 - trim) input, so that the padded
+        # extents take k consecutive values on each axis, odd and even alike
         cin, cout = (3, 4) if kind == "dense" else (3, 3)
-        shape = (2, 7, 6, cin) if batched else (7, 6, cin)
-        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        shape = (7 - trim, 6 - trim, cin)
+        x = Tensor(rng.standard_normal((2,) + shape if batched else shape), requires_grad=True)
         w = Tensor(rng.standard_normal((cout, cin if kind == "dense" else 1, k, k)),
                    requires_grad=True)
         b = Tensor(rng.standard_normal(cout), requires_grad=True)
-        out = T.conv2d(x, w, b, stride=stride, padding=padding)
+        out = T.conv2d(x, w, b, stride=stride)
         g = rng.standard_normal(out.shape)
         T.backward(weighted_sum(out, g))
         xb, gb = (x.data, g) if batched else (x.data[None], g[None])
-        dx, dw, db = _loop_conv2d_vjp(xb, w.data, gb, stride, padding)
+        dx, dw, db = _loop_conv2d_vjp(xb, w.data, gb, stride, k // 2)
         assert_allclose(x.grad, dx if batched else dx[0], rtol=0, atol=1e-10)
         assert_allclose(w.grad, dw, rtol=0, atol=1e-10)
         assert_allclose(b.grad, db, rtol=0, atol=1e-10)
@@ -591,8 +593,8 @@ class TestBackward:
 
     def test_leaf_keeps_its_dtype(self):
         x = Tensor(np.array([[1.0, 2.0]], dtype=np.float32), requires_grad=True)
-        w = Tensor(np.array([[3.0], [-4.0]]), dtype=np.float64)
-        b = Tensor(np.zeros(1), dtype=np.float64)
+        w = Tensor(np.array([[3.0], [-4.0]], dtype=np.float64))
+        b = Tensor(np.zeros(1, dtype=np.float64))
         once = T.linear(x, w, b)
         assert once.dtype == np.float64
         T.backward(once)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metavit import trainer
 from metavit.errors import ConfigError, TrainingDiverged
 from metavit.model import build_variant, variant
 from metavit.tensor import Tensor
@@ -193,7 +194,7 @@ class TestTrainToy:
 
 
 class TestEvaluate:
-    def test_perfect_logit_stub(self):
+    def test_perfect_logit_stub(self, monkeypatch):
         ds = make_synth(9, 0.1, seed=0)
 
         class Stub:
@@ -202,10 +203,11 @@ class TestEvaluate:
                 return Tensor(np.eye(3, dtype=np.float32)[labels] * 10)
 
         # batch slices line up with the dataset ordering
-        assert evaluate(Stub(), ds, batch_size=9) == 1.0
+        monkeypatch.setattr(trainer, "EVAL_BATCH", 9)
+        assert evaluate(Stub(), ds) == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_logits_raise(self, bad):
+    def test_non_finite_logits_raise(self, bad, monkeypatch):
         ds = make_synth(9, 0.1, seed=0)
 
         class Stub:
@@ -218,8 +220,9 @@ class TestEvaluate:
                     logits[1, 2] = bad
                 return Tensor(logits)
 
+        monkeypatch.setattr(trainer, "EVAL_BATCH", 3)
         with pytest.raises(TrainingDiverged, match="samples 3..5"):
-            evaluate(Stub(), ds, batch_size=3)
+            evaluate(Stub(), ds)
 
     def test_untrained_accuracy_near_chance_over_seeds(self):
         # measured band for this init on 300 balanced samples: [0.18, 0.58]
