@@ -4,11 +4,12 @@ Timing uses the monotonic high-resolution clock only. Runs are warmed up,
 then every measured iteration is recorded individually; the median is the
 headline number for comparisons (robust to scheduler jitter), with mean
 and standard deviation reported alongside. Every OpenBLAS loaded into
-the process (numpy and scipy ship one each) is pinned to one thread during
-measurement, through its own ``*_set_num_threads`` entry point, so latency
-ratios track arithmetic cost and not thread scheduling; each library's
-previous count is restored afterwards. Where no OpenBLAS is found (another
-BLAS, or no ``/proc/self/maps``) nothing is pinned.
+the process (numpy's, and scipy's when the caller has imported scipy) is
+pinned to one thread during measurement, through its own
+``*_set_num_threads`` entry point, so latency ratios track arithmetic cost
+and not thread scheduling; each library's previous count is restored
+afterwards. Where no OpenBLAS is found (another BLAS, or no
+``/proc/self/maps``) nothing is pinned.
 """
 
 from __future__ import annotations

@@ -163,7 +163,7 @@ class FeedForward:
 class Cpe:
     """Conditional positional encoding: residual depthwise k x k conv over the grid."""
 
-    def __init__(self, store: ParamStore, name: str, dim: int, kernel: int = 3):
+    def __init__(self, store: ParamStore, name: str, dim: int, kernel: int):
         self.w = store.weight(f"{name}.w", (dim, 1, kernel, kernel))
         self.b = store.zeros(f"{name}.b", (dim,))
 
@@ -261,7 +261,6 @@ class _TwoStreamBlock:
         head_dim: int,
         expansion: int,
         sequential: bool = False,
-        use_cpe: bool = True,
         cpe_kernel: int = 3,
     ):
         if dim < 1 or head_dim < 1 or dim % head_dim:
@@ -269,7 +268,7 @@ class _TwoStreamBlock:
         route = self.route
         self.sequential = sequential
         self.heads = dim // head_dim
-        self.cpe = Cpe(store, f"{name}.cpe", dim, cpe_kernel) if route.cpe and use_cpe else None
+        self.cpe = Cpe(store, f"{name}.cpe", dim, cpe_kernel) if route.cpe else None
         qkv = []
         for p in "qkv":
             qkv += [store.weight(f"{name}.attn.w{p}", (dim, dim)),

@@ -28,7 +28,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, ContractError, DimensionError, InputError
 
@@ -580,11 +579,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _node(out, (x, gamma, beta), vjp, "layer_norm")
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# float32 Phi(x) = 0.5 + 0.5 tanh(x U(x^2)), U in increasing powers of x^2:
-# a weighted least-squares fit of atanh(erf(x / sqrt(2))) / x on (0, 6.5]
+# Phi(x) = 0.5 + 0.5 tanh(x U(x^2)), U in increasing powers of x^2: a
+# weighted least-squares fit of atanh(erf(x / sqrt(2))) / x on (0, 6.5]
 # (the classic tanh GELU is its degree-1 member). U has no positive root,
 # so x U(x^2) has the sign of x, and tanh saturates to +-1 in float32 from
 # |x| of about 6; Phi is in [0, 1] by construction.
@@ -592,9 +590,29 @@ _PHI_U = (0.797884941482545, 0.03633308446003419, -3.2594831524561155e-05,
           -5.530626202766682e-05, 3.964758369725655e-06, -1.3226456273121567e-07,
           1.7562078975267372e-09)
 
-# the float32 normal CDF is evaluated over chunks of this many elements;
-# 64K beat 16K and 256K at the model's (3136, 256) FFN width
+# GELU is evaluated over chunks of this many elements; 64K beat 16K and
+# 256K at the model's (3136, 256) FFN width
 _CHUNK_ELEMENTS = 1 << 16
+
+
+def _normal_cdf(x: np.ndarray, x2: np.ndarray, out: np.ndarray) -> None:
+    """Write x*x into ``x2`` and Phi(x) into ``out``, in ``x``'s dtype.
+
+    17 vectorized passes: x^2, 12 for U's Horner form, the product with x,
+    tanh and the affine 0.5 + 0.5 t. x U(x^2) overflows to +-inf for |x|
+    above about 4e3 in float32 (x^2 itself above about 1.8e19), where tanh
+    gives the same +-1 as for any |x| past 6; callers silence that overflow.
+    """
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, _PHI_U[-1], out=out)  # U(x^2) in Horner form
+    for c in _PHI_U[-2:0:-1]:
+        out += c
+        out *= x2
+    out += _PHI_U[0]
+    out *= x
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
 
 
 def _gelu_slope(x: np.ndarray, x2: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
@@ -606,73 +624,36 @@ def _gelu_slope(x: np.ndarray, x2: np.ndarray, phi: np.ndarray, out: np.ndarray)
     out += phi
 
 
-def _normal_cdf_float32(x: np.ndarray, slope: np.ndarray | None = None,
-                        times_x: bool = False) -> np.ndarray:
-    """Phi(x) for float32 ``x``, or x Phi(x) if ``times_x``, as a fresh array.
-
-    Each 64K chunk takes 18 vectorized passes for x Phi(x): x^2, 12 for U's
-    Horner form, the product with x, tanh, the affine 0.5 + 0.5 t and the
-    final product with x; scipy's ``erf`` is a scalar loop. Given
-    ``slope``, an array shaped like ``x``, each chunk also writes
-    ``_gelu_slope`` into it from the chunk's x^2 and Phi while both are
-    still in cache (5 more passes). x U(x^2) overflows to +-inf for |x|
-    above about 4e3 (x^2 itself above about 1.8e19), where tanh gives the
-    same +-1 as for any |x| past 6, so that overflow is silenced.
-    """
-    flat = x.reshape(-1)
-    phi = np.empty_like(flat)
-    dflat = None if slope is None else slope.reshape(-1)
-    size = max(1, min(_CHUNK_ELEMENTS, flat.size))
-    x2 = np.empty(size, dtype=np.float32)
-    with np.errstate(over="ignore"):
-        for i in range(0, flat.size, size):
-            a, p = flat[i : i + size], phi[i : i + size]
-            b = x2[: a.size]
-            np.multiply(a, a, out=b)
-            np.multiply(b, _PHI_U[-1], out=p)  # U(x^2) in Horner form
-            for c in _PHI_U[-2:0:-1]:
-                p += c
-                p *= b
-            p += _PHI_U[0]
-            p *= a
-            np.tanh(p, out=p)
-            p *= 0.5
-            p += 0.5
-            if dflat is not None:
-                _gelu_slope(a, b, p, dflat[i : i + size])
-            if times_x:
-                p *= a
-    return phi.reshape(x.shape)
-
-
 def gelu(x: Tensor) -> Tensor:
     """GELU, x * Phi(x) with Phi the standard normal CDF (arXiv 1606.08415).
 
-    float32 evaluates Phi as 0.5 + 0.5 tanh(x U(x^2)) with the degree-6
-    polynomial U above, within 6e-7 absolute of the exact GELU on random
-    points in [-10, 10], and x Phi(x) in [min(x, 0), max(x, 0)] everywhere;
-    float64 keeps scipy's exact ``erf``, the reference gradcheck tests
-    against. The output is formed in Phi's buffer. When recording, the
-    derivative Phi(x) + x pdf(x) is formed in forward and is the only
-    array the VJP keeps, neither Phi nor the input. The input array is
-    never written.
+    Phi is ``_normal_cdf``'s 0.5 + 0.5 tanh(x U(x^2)) with the degree-6
+    polynomial U above, in the input's dtype: within 6e-7 absolute of the
+    exact GELU on random float32 points in [-10, 10], within 1.24e-7 in
+    float64, and x Phi(x) in [min(x, 0), max(x, 0)] everywhere. Each 64K
+    chunk forms Phi, then, when recording, the derivative Phi(x) + x pdf(x)
+    from the same x^2 while both are in cache (5 more passes), then the
+    output x Phi(x) in Phi's buffer. The derivative is the only array the
+    VJP keeps, neither Phi nor the input. The input array is never written.
     """
-    slope = np.empty_like(x.data) if _recording((x,)) else None
-    if x.dtype == np.float32:
-        out = _normal_cdf_float32(x.data, slope, times_x=True)
-    else:
-        out = erf(x.data * _INV_SQRT2)
-        out += 1.0
-        out *= 0.5
-        if slope is not None:
-            np.square(x.data, out=slope)
-            _gelu_slope(x.data, slope, out, slope)
-        out *= x.data
+    flat = x.data.reshape(-1)
+    out = np.empty_like(flat)
+    slope = np.empty_like(flat) if _recording((x,)) else None
+    size = max(1, min(_CHUNK_ELEMENTS, flat.size))
+    x2 = np.empty(size, dtype=flat.dtype)
+    with np.errstate(over="ignore"):
+        for i in range(0, flat.size, size):
+            a, p = flat[i : i + size], out[i : i + size]
+            b = x2[: a.size]
+            _normal_cdf(a, b, p)
+            if slope is not None:
+                _gelu_slope(a, b, p, slope[i : i + size])
+            p *= a
 
     def vjp(g):
-        return (g * slope,)
+        return (g * slope.reshape(g.shape),)
 
-    return _node(out, (x,), vjp, "gelu")
+    return _node(out.reshape(x.shape), (x,), vjp, "gelu")
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

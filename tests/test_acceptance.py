@@ -150,7 +150,8 @@ def test_criterion_5_structural_invariants(announce):
     for i in range(cases):  # dual block without CPE: equivariant image, invariant meta
         side, m, dim = _random_block_shapes(rng)
         n = side * side
-        block = DCABlock(ParamStore(i), "b", dim, head, exp, use_cpe=False)
+        block = DCABlock(ParamStore(i), "b", dim, head, exp)
+        block.cpe = None
         tokens = rng.standard_normal((n, dim)).astype(np.float32)
         meta = rng.standard_normal((m, dim)).astype(np.float32)
         perm = rng.permutation(n)

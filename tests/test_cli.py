@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metavit
 from conftest import BAD_CONFIG_VALUES, FORGERIES, forge_config, set_config
 from metavit import cli, fileio
 from metavit.checkpoint import load_checkpoint, load_tensors, save_checkpoint, save_tensors
@@ -388,6 +392,17 @@ class TestBenchAndGradcheck:
         assert main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "max rel err" in out
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; a fresh interpreter shows what
+    # importing the CLI loads, which this process's test imports would hide
+    src = str(Path(metavit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, metavit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestTrainInferAttmap:

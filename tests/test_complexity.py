@@ -164,7 +164,7 @@ class TestEmpiricalAgreement:
             model.forward_classify(img)
         rep = count_model(spec, 64)
         analytic = rep.total_macs + rep.total_attn_macs
-        assert abs(meter.total - analytic) / analytic < 0.05
+        assert meter.total == analytic
 
 
 class TestEmitReport:
