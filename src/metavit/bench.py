@@ -132,17 +132,8 @@ def _check_loop(iters: int, warmup: int) -> None:
         raise UsageError(f"warmup iterations must be >= 0, got {warmup}")
 
 
-def bench_block_pair(
-    n: int, m: int, d: int, e: int = 4, iters: int = MIN_ITERS,
-    warmup: int = MIN_WARMUP, seed: int = 0,
-) -> tuple[BenchResult, BenchResult]:
-    """Forward-only latency of one dual cross-attention vs one standard block.
-
-    Both blocks are freshly built from the same seed and fed the same random
-    token grid. Heads are 32 wide when 32 divides ``d``, and otherwise as
-    wide as the largest divisor of ``d`` below 32. Speedup is
-    sa.median_s / dca.median_s.
-    """
+def check_block_pair(n: int, m: int, d: int, e: int, iters: int, warmup: int) -> None:
+    """Raise ``UsageError`` unless ``bench_block_pair`` can run these values."""
     _check_loop(iters, warmup)
     if e < 1:
         raise UsageError(f"feed-forward expansion must be >= 1, got {e}")
@@ -154,6 +145,29 @@ def bench_block_pair(
     if (n + m) * d * e > MAX_HIDDEN:
         raise UsageError(f"(n + m) * d * e = {(n + m) * d * e} feed-forward hidden values "
                          f"exceed {MAX_HIDDEN}")
+
+
+def check_model(input_px: int, iters: int, warmup: int) -> None:
+    """Raise ``UsageError`` unless ``bench_model`` can run these values."""
+    _check_loop(iters, warmup)
+    if input_px % 32 or not 64 <= input_px <= MAX_INPUT:
+        raise UsageError(f"input extent must be a multiple of 32 in [64, {MAX_INPUT}], "
+                         f"got {input_px}")
+
+
+def bench_block_pair(
+    n: int, m: int, d: int, e: int = 4, iters: int = MIN_ITERS,
+    warmup: int = MIN_WARMUP, seed: int = 0,
+) -> tuple[BenchResult, BenchResult]:
+    """Forward-only latency of one dual cross-attention vs one standard block.
+
+    Both blocks are freshly built from the same seed and fed the same random
+    token grid. Heads are 32 wide when 32 divides ``d``, and otherwise as
+    wide as the largest divisor of ``d`` below 32. Speedup is
+    sa.median_s / dca.median_s.
+    """
+    check_block_pair(n, m, d, e, iters, warmup)
+    side = math.isqrt(n)
     head_dim = max(h for h in range(1, min(32, d) + 1) if d % h == 0)
     store = ParamStore(seed)
     dca = DCABlock(store, "bench.dca", d, head_dim=head_dim, expansion=e)
@@ -191,10 +205,7 @@ def bench_model(
 ) -> BenchResult:
     """Images per second over the full classification forward pass of one
     square ``input_px`` x ``input_px`` image."""
-    _check_loop(iters, warmup)
-    if input_px % 32 or not 64 <= input_px <= MAX_INPUT:
-        raise UsageError(f"input extent must be a multiple of 32 in [64, {MAX_INPUT}], "
-                         f"got {input_px}")
+    check_model(input_px, iters, warmup)
     model = Model(spec, seed)
     rng = np.random.default_rng(seed)
     img = rng.standard_normal((3, input_px, input_px)).astype(np.float32)

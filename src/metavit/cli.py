@@ -152,23 +152,23 @@ def cmd_bench(settings) -> int:
     mode = settings["mode"]
     if mode not in ("pair", "model", "both"):
         raise UsageError(f"bench mode must be pair, model, or both, got {mode!r}")
+    pair_shape = (settings["n"], settings["m"], settings["d"], settings["e"])
+    loop = (settings["iters"], settings["warmup"])
+    # every value is checked before anything is built, timed or written
+    if mode in ("pair", "both"):
+        bench_mod.check_block_pair(*pair_shape, *loop)
+    if mode in ("model", "both"):
+        spec = variant(settings["variant"])
+        bench_mod.check_model(settings["input"], *loop)
     os.makedirs(settings["out_dir"], exist_ok=True)
     results = []
     if mode in ("pair", "both"):
-        dca, sa = bench_mod.bench_block_pair(
-            settings["n"], settings["m"], settings["d"], settings["e"],
-            iters=settings["iters"], warmup=settings["warmup"], seed=settings["seed"],
-        )
+        dca, sa = bench_mod.bench_block_pair(*pair_shape, *loop, seed=settings["seed"])
         results += [dca, sa]
         print(f"speedup (sa.median / dca.median): {bench_mod.speedup(sa, dca):.3f}")
     if mode in ("model", "both"):
-        spec = variant(settings["variant"])
-        results.append(
-            bench_mod.bench_model(
-                spec, settings["input"], iters=settings["iters"],
-                warmup=settings["warmup"], seed=settings["seed"],
-            )
-        )
+        results.append(bench_mod.bench_model(spec, settings["input"], *loop,
+                                             seed=settings["seed"]))
     _bench_rows_out(results)
     out_path = os.path.join(settings["out_dir"], "bench.csv")
     with open(out_path, "w", newline="", encoding="utf-8") as f:

@@ -8,6 +8,11 @@ central differences with step 1e-5. The reported number per case is
 over the sampled coordinates, i.e. the worst deviation normalized by the
 gradient scale (with a floor of one so exactly-zero gradients compare by
 absolute error).
+
+Each case draws all of its random inputs (leaves, weights, labels and
+probed coordinates) from its own generator, seeded by the suite seed and
+the case's name, ``np.random.default_rng([seed, *name.encode()])``.
+Adding, removing or reordering cases changes no other case's inputs.
 """
 
 from __future__ import annotations
@@ -37,14 +42,13 @@ class CheckCase:
 
 
 def fd_check(loss_fn, leaves: list[Tensor], sample: int | None = None,
-             seed: int = 0) -> float:
+             rng: np.random.Generator | None = None) -> float:
     """Compare backward() gradients of ``loss_fn()`` against central differences.
 
     ``loss_fn`` must rebuild its graph from the current leaf data on every
-    call. When ``sample`` is given, at most that many coordinates are probed
-    per leaf (uniformly chosen); otherwise all coordinates are probed.
+    call. When ``sample`` is given, at most that many coordinates per leaf,
+    chosen uniformly by ``rng``, are probed; otherwise all coordinates are.
     """
-    rng = np.random.default_rng(seed)
     T.zero_grads(leaves)
     loss = loss_fn()
     T.backward(loss)
@@ -55,9 +59,8 @@ def fd_check(loss_fn, leaves: list[Tensor], sample: int | None = None,
     scale = max(1.0, max((np.abs(a).max() if a.size else 0.0) for a in analytic))
     for leaf, grads in zip(leaves, analytic):
         flat = leaf.data.reshape(-1)
-        count = flat.size if sample is None else min(sample, flat.size)
         coords = (np.arange(flat.size) if sample is None
-                  else rng.choice(flat.size, size=count, replace=False))
+                  else rng.choice(flat.size, size=min(sample, flat.size), replace=False))
         for idx in coords:
             original = flat[idx]
             flat[idx] = original + FD_STEP
@@ -83,132 +86,87 @@ def _weighted_sum(*outputs) -> Tensor:
     return total
 
 
-def _kernel_cases(seed: int) -> list[CheckCase]:
-    rng = np.random.default_rng(seed)
-    cases = []
+def _case_rng(seed: int, name: str) -> np.random.Generator:
+    return np.random.default_rng([seed, *name.encode()])
 
-    def leaf(*shape):
-        return Tensor(rng.standard_normal(shape), requires_grad=True)
 
-    a, b = leaf(4, 5), leaf(5, 3)
-    cases.append(CheckCase("matmul", fd_check(lambda: _weighted_sum(T.matmul(a, b)), [a, b])))
-
-    ab, bb = leaf(2, 4, 5), leaf(2, 5, 3)
-    cases.append(CheckCase(
-        "matmul-batched", fd_check(lambda: _weighted_sum(T.matmul(ab, bb)), [ab, bb])
-    ))
-
-    x = leaf(4, 6)
-    cases.append(CheckCase("softmax_rows", fd_check(lambda: _weighted_sum(T.softmax_rows(x)), [x])))
-
-    xn, g, bta = leaf(3, 8), leaf(8), leaf(8)
-    cases.append(CheckCase(
-        "layer_norm", fd_check(lambda: _weighted_sum(T.layer_norm(xn, g, bta)), [xn, g, bta])
-    ))
-
-    xg = leaf(5, 7)
-    cases.append(CheckCase("gelu", fd_check(lambda: _weighted_sum(T.gelu(xg)), [xg])))
-
-    # conv inputs are channels-last (B, H, W, C)
-    xc, wc, bc = leaf(2, 6, 6, 3), leaf(4, 3, 3, 3), leaf(4)
-    cases.append(CheckCase(
-        "conv2d",
-        fd_check(lambda: _weighted_sum(T.conv2d(xc, wc, bc, stride=2)), [xc, wc, bc]),
-    ))
-
-    xd, wd, bd = leaf(2, 5, 5, 4), leaf(4, 1, 3, 3), leaf(4)
-    cases.append(CheckCase(
-        "conv2d-depthwise",
-        fd_check(lambda: _weighted_sum(T.conv2d(xd, wd, bd)), [xd, wd, bd]),
-    ))
-
-    cases.append(CheckCase(
-        "conv2d-depthwise-stride2",
-        fd_check(lambda: _weighted_sum(T.conv2d(xd, wd, bd, stride=2)), [xd, wd, bd]),
-    ))
-    rng.standard_normal(314)  # skip 314 draws so the cases below keep their inputs
-
-    xp = leaf(6, 5)
-    cases.append(CheckCase(
-        "global_avg_pool", fd_check(lambda: _weighted_sum(T.global_avg_pool(xp)), [xp])
-    ))
-
-    logits = leaf(4, 5)
-    labels = rng.integers(0, 5, size=4)
-    cases.append(CheckCase(
-        "cross_entropy", fd_check(lambda: T.cross_entropy(logits, labels), [logits])
-    ))
-
-    xl, wl, bl = leaf(2, 3, 4), leaf(4, 5), leaf(5)
-    cases.append(CheckCase(
-        "linear-rank3", fd_check(lambda: _weighted_sum(T.linear(xl, wl, bl)), [xl, wl, bl])
-    ))
-
+def _fan_in(x, w):
     # one non-leaf read by three ops; backward reaches the consumer of the first
     # output first, so global_avg_pool's read-only broadcast view is h's first gradient
-    xf, wf = leaf(3, 4), leaf(4, 2)
+    h = T.gelu(x)
+    return _weighted_sum(T.global_avg_pool(h), T.linear(h, w, Tensor(np.zeros(2))), h)
 
-    def fan_in():
-        h = T.gelu(xf)
-        return _weighted_sum(T.global_avg_pool(h), T.linear(h, wf, Tensor(np.zeros(2))), h)
 
-    cases.append(CheckCase("fan-in", fd_check(fan_in, [xf, wf])))
-
-    # batch 2, 4 keys, 7 query rows: a 24-logit tile budget gives tiles of 3, 3 and 1 rows
-    qa, ka, va = leaf(2, 7, 3), leaf(2, 4, 3), leaf(2, 4, 5)
-    cases.append(CheckCase(
-        "attention-tiled",
-        fd_check(lambda: _weighted_sum(T.attention(qa, ka, va, 0.6, tile_elements=2 * 4 * 3)),
-                 [qa, ka, va]),
-    ))
-    # 2 heads in the merged layout: a 32-logit budget gives tiles of 2, 2 and 1 rows
-    qh, kh, vh = leaf(2, 5, 6), leaf(2, 4, 6), leaf(2, 4, 4)
-    cases.append(CheckCase(
-        "attention-heads",
-        fd_check(lambda: _weighted_sum(T.attention(qh, kh, vh, 0.6, heads=2,
-                                                   tile_elements=2 * 2 * 4 * 2)), [qh, kh, vh]),
-    ))
+def _shared_first_key(q, k, v):
     # logits near 900, past exp's float64 range, so the row max is subtracted;
     # the keys share their first coordinate, so each row's logits differ by O(1)
-    qu, ku, vu = leaf(2, 5, 4), leaf(2, 4, 4), leaf(2, 4, 3)
-    qu.data[..., 0] += 30.0
-    ku.data[..., 0] = 30.0
-    cases.append(CheckCase(
-        "attention-unbounded",
-        fd_check(lambda: _weighted_sum(T.attention(qu, ku, vu, 1.0)), [qu, ku, vu]),
-    ))
+    q.data[..., 0] += 30.0
+    k.data[..., 0] = 30.0
+
+
+def _halve(*leaves):
+    for leaf in leaves:
+        leaf.data *= 0.5
+
+
+_DEPTHWISE = [(2, 5, 5, 4), (4, 1, 3, 3), (4,)]
+
+# (name, loss of the leaves, leaf shapes[, edit applied to the drawn leaves])
+_KERNEL_ROWS = [
+    ("matmul", lambda a, b: _weighted_sum(T.matmul(a, b)), [(4, 5), (5, 3)]),
+    ("matmul-batched", lambda a, b: _weighted_sum(T.matmul(a, b)), [(2, 4, 5), (2, 5, 3)]),
+    ("softmax_rows", lambda x: _weighted_sum(T.softmax_rows(x)), [(4, 6)]),
+    ("layer_norm", lambda x, g, b: _weighted_sum(T.layer_norm(x, g, b)), [(3, 8), (8,), (8,)]),
+    ("gelu", lambda x: _weighted_sum(T.gelu(x)), [(5, 7)]),
+    # conv inputs are channels-last (B, H, W, C)
+    ("conv2d", lambda x, w, b: _weighted_sum(T.conv2d(x, w, b, stride=2)),
+     [(2, 6, 6, 3), (4, 3, 3, 3), (4,)]),
+    ("conv2d-depthwise", lambda x, w, b: _weighted_sum(T.conv2d(x, w, b)), _DEPTHWISE),
+    ("conv2d-depthwise-stride2", lambda x, w, b: _weighted_sum(T.conv2d(x, w, b, stride=2)),
+     _DEPTHWISE),
+    ("global_avg_pool", lambda x: _weighted_sum(T.global_avg_pool(x)), [(6, 5)]),
+    ("cross_entropy", lambda x: T.cross_entropy(x, np.array([3, 0, 4, 1])), [(4, 5)]),
+    ("linear-rank3", lambda x, w, b: _weighted_sum(T.linear(x, w, b)),
+     [(2, 3, 4), (4, 5), (5,)]),
+    ("fan-in", _fan_in, [(3, 4), (4, 2)]),
+    # batch 2, 4 keys, 7 query rows: a 24-logit tile budget gives tiles of 3, 3 and 1 rows
+    ("attention-tiled",
+     lambda q, k, v: _weighted_sum(T.attention(q, k, v, 0.6, tile_elements=2 * 4 * 3)),
+     [(2, 7, 3), (2, 4, 3), (2, 4, 5)]),
+    # 2 heads in the merged layout: a 32-logit budget gives tiles of 2, 2 and 1 rows
+    ("attention-heads",
+     lambda q, k, v: _weighted_sum(T.attention(q, k, v, 0.6, heads=2,
+                                               tile_elements=2 * 2 * 4 * 2)),
+     [(2, 5, 6), (2, 4, 6), (2, 4, 4)]),
+    ("attention-unbounded", lambda q, k, v: _weighted_sum(T.attention(q, k, v, 1.0)),
+     [(2, 5, 4), (2, 4, 4), (2, 4, 3)], _shared_first_key),
     # a 5x5 CPE kernel (VariantSpec.cpe_kernel = 5)
-    x5, w5, b5 = leaf(2, 6, 7, 4), leaf(4, 1, 5, 5), leaf(4)
-    cases.append(CheckCase(
-        "conv2d-depthwise-5x5",
-        fd_check(lambda: _weighted_sum(T.conv2d(x5, w5, b5)), [x5, w5, b5]),
-    ))
-    return cases
+    ("conv2d-depthwise-5x5", lambda x, w, b: _weighted_sum(T.conv2d(x, w, b)),
+     [(2, 6, 7, 4), (4, 1, 5, 5), (4,)]),
+    # queries (5, 8) and key/values (3, 8), then MhaParams' eight weights in field order
+    ("multi_head_attention",
+     lambda q, kv, *w: _weighted_sum(multi_head_attention(q, kv, MhaParams(*w), 2)),
+     [(5, 8), (3, 8)] + [(8, 8), (8,)] * 4, _halve),
+]
 
 
-def _mha_case(seed: int) -> CheckCase:
-    rng = np.random.default_rng(seed)
-    dim, heads = 8, 2
-
-    def leaf(*shape):
-        return Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
-
-    params = MhaParams(*(leaf(dim, dim) if i % 2 == 0 else leaf(dim) for i in range(8)))
-    q, kv = leaf(5, dim), leaf(3, dim)
-    leaves = [q, kv, params.wq, params.bq, params.wk, params.bk,
-              params.wv, params.bv, params.wo, params.bo]
-    err = fd_check(lambda: _weighted_sum(multi_head_attention(q, kv, params, heads)), leaves)
-    return CheckCase("multi_head_attention", err)
+def _kernel_case(seed: int, name: str, loss, shapes, edit=None) -> CheckCase:
+    rng = _case_rng(seed, name)
+    leaves = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+    if edit is not None:
+        edit(*leaves)
+    return CheckCase(name, fd_check(lambda: loss(*leaves), leaves))
 
 
 def _block_case(kind: str, seed: int, sequential: bool = False) -> CheckCase:
-    rng = np.random.default_rng(seed)
+    name = f"block-{'dca-sequential' if sequential else kind}"
+    rng = _case_rng(seed, name)
     dim, head_dim, expansion = 8, 4, 2
     n_side, m = 4, 4  # 16 image tokens, 4 meta tokens
     store = ParamStore(seed, dtype=np.float64)
     block = BLOCKS[kind](store, "blk", dim, head_dim, expansion, sequential=sequential)
     # keep weights O(1) so gradient scales are meaningful for the check
-    for name, p in store.params.items():
+    for p in store.params.values():
         if p.data.ndim >= 2:
             p.data = rng.standard_normal(p.shape) * 0.3
 
@@ -220,14 +178,13 @@ def _block_case(kind: str, seed: int, sequential: bool = False) -> CheckCase:
         grid_out, meta_out = block(TokenGrid(tokens, n_side, n_side), meta)
         return _weighted_sum(grid_out.tokens, meta_out)
 
-    label = kind if not sequential else "dca-sequential"
-    return CheckCase(f"block-{label}", fd_check(loss_fn, leaves, sample=6, seed=seed))
+    return CheckCase(name, fd_check(loss_fn, leaves, sample=6, rng=rng))
 
 
 def _model_case(seed: int) -> CheckCase:
-    spec = variant("tiny-narrow", num_classes=3)
-    model = Model(spec, seed=seed, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    name = "model-tiny-narrow"
+    rng = _case_rng(seed, name)
+    model = Model(variant("tiny-narrow", num_classes=3), seed=seed, dtype=np.float64)
     img = Tensor(rng.standard_normal((1, 3, 64, 64)))  # a batch of one
     labels = np.array([rng.integers(0, 3)])
 
@@ -237,17 +194,12 @@ def _model_case(seed: int) -> CheckCase:
     names = sorted(model.parameters())
     picked = rng.choice(len(names), size=min(24, len(names)), replace=False)
     leaves = [model.parameters()[names[i]] for i in picked]
-    return CheckCase("model-tiny-narrow", fd_check(loss_fn, leaves, sample=2, seed=seed))
+    return CheckCase(name, fd_check(loss_fn, leaves, sample=2, rng=rng))
 
 
-def run_suite(seed: int = 0, include_model: bool = True) -> list[CheckCase]:
+def run_suite(seed: int = 0) -> list[CheckCase]:
     """The full gradient-check battery; every case must stay below 1e-4."""
-    cases = _kernel_cases(seed)
-    cases.append(_mha_case(seed + 1))
-    cases.append(_block_case("ca", seed + 2))
-    cases.append(_block_case("dca", seed + 3))
-    cases.append(_block_case("dca", seed + 4, sequential=True))
-    cases.append(_block_case("sa", seed + 5))
-    if include_model:
-        cases.append(_model_case(seed + 6))
-    return cases
+    return ([_kernel_case(seed, *row) for row in _KERNEL_ROWS]
+            + [_block_case("ca", seed), _block_case("dca", seed),
+               _block_case("dca", seed, sequential=True), _block_case("sa", seed),
+               _model_case(seed)])

@@ -100,7 +100,7 @@ def test_criterion_3_meta_length_ablation(announce):
 
 def test_criterion_4_gradient_suite(announce):
     t0 = time.perf_counter()
-    cases = run_suite(seed=0, include_model=True)
+    cases = run_suite(seed=0)
     elapsed = time.perf_counter() - t0
     worst = max(c.max_rel_err for c in cases)
     block_names = {c.name for c in cases}

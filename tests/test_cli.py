@@ -295,16 +295,21 @@ class TestHostileValues:
         ("pair", "n", str(1 << 30), "hidden"), ("pair", "e", str(1 << 40), "hidden"),
         ("model", "input", "-64", "input"), ("model", "input", "0", "input"),
         ("model", "input", "100", "input"), ("model", "input", str(1 << 20), "input"),
+        # both: a value only the model bench reads stops the block pair too
+        ("both", "input", "100", "input"), ("both", "variant", "nope", "variant"),
+        ("both", "n", "5", "n="), ("both", "iters", "0", "iterations"),
     ])
     def test_bench(self, tmp_path, capsys, monkeypatch, mode, key, value, word):
         monkeypatch.setattr(cli.bench_mod, "ParamStore", _refuse)
         monkeypatch.setattr(cli.bench_mod, "Model", _refuse)
         code = main(["bench", "--mode", mode, "--n", "16", "--m", "4", "--d", "8",
                      "--variant", "tiny-narrow", "--input", "64",
-                     "--out-dir", str(tmp_path), "--" + key, value])
+                     "--out-dir", str(tmp_path / "out"), "--" + key, value])
         assert code == 1
-        assert _one_line_usage_error(capsys.readouterr().err, word)
-        assert not (tmp_path / "bench.csv").exists()
+        out, err = capsys.readouterr()
+        assert _one_line_usage_error(err, word)
+        assert "speedup" not in out
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
