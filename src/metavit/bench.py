@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import DCABlock, ParamStore, SABlock, TokenGrid
 from .errors import UsageError
-from .model import Model, VariantSpec
+from .model import EXPANSION, HEAD_DIM, Model, VariantSpec
 from .tensor import Tensor
 
 # (get, set) thread-count entry points of the OpenBLAS builds numpy and scipy ship
@@ -156,19 +156,19 @@ def check_model(input_px: int, iters: int, warmup: int) -> None:
 
 
 def bench_block_pair(
-    n: int, m: int, d: int, e: int = 4, iters: int = MIN_ITERS,
+    n: int, m: int, d: int, e: int = EXPANSION, iters: int = MIN_ITERS,
     warmup: int = MIN_WARMUP, seed: int = 0,
 ) -> tuple[BenchResult, BenchResult]:
     """Forward-only latency of one dual cross-attention vs one standard block.
 
     Both blocks are freshly built from the same seed and fed the same random
-    token grid. Heads are 32 wide when 32 divides ``d``, and otherwise as
-    wide as the largest divisor of ``d`` below 32. Speedup is
+    token grid. Heads are HEAD_DIM wide when HEAD_DIM divides ``d``, and
+    otherwise as wide as the largest divisor of ``d`` below it. Speedup is
     sa.median_s / dca.median_s.
     """
     check_block_pair(n, m, d, e, iters, warmup)
     side = math.isqrt(n)
-    head_dim = max(h for h in range(1, min(32, d) + 1) if d % h == 0)
+    head_dim = max(h for h in range(1, min(HEAD_DIM, d) + 1) if d % h == 0)
     store = ParamStore(seed)
     dca = DCABlock(store, "bench.dca", d, head_dim=head_dim, expansion=e)
     sa = SABlock(store, "bench.sa", d, head_dim=head_dim, expansion=e)

@@ -43,6 +43,7 @@ from .errors import ConfigError, ContractError, InputError
 from .tensor import Tensor
 
 INIT_STD = 0.02
+CPE_KERNEL = 3  # odd, so the grid keeps its extents: conv2d pads by k // 2
 
 
 @dataclass
@@ -161,10 +162,10 @@ class FeedForward:
 
 
 class Cpe:
-    """Conditional positional encoding: residual depthwise k x k conv over the grid."""
+    """Conditional positional encoding: residual depthwise CPE_KERNEL x CPE_KERNEL conv."""
 
-    def __init__(self, store: ParamStore, name: str, dim: int, kernel: int):
-        self.w = store.weight(f"{name}.w", (dim, 1, kernel, kernel))
+    def __init__(self, store: ParamStore, name: str, dim: int):
+        self.w = store.weight(f"{name}.w", (dim, 1, CPE_KERNEL, CPE_KERNEL))
         self.b = store.zeros(f"{name}.b", (dim,))
 
     def __call__(self, grid: TokenGrid) -> TokenGrid:
@@ -246,9 +247,8 @@ class Route:
 class _TwoStreamBlock:
     """Pre-norm two-stream block that runs the ``route`` of its class.
 
-    Every kind takes the same arguments and ignores those its route has
-    no use for: CA has no CPE, and ``sequential`` changes only DCA, the
-    one route whose later branch reads a stream the block updates first.
+    Every kind takes the same arguments; ``sequential`` changes only DCA,
+    the one route whose later branch reads a stream the block updates first.
     """
 
     route: Route
@@ -261,14 +261,13 @@ class _TwoStreamBlock:
         head_dim: int,
         expansion: int,
         sequential: bool = False,
-        cpe_kernel: int = 3,
     ):
         if dim < 1 or head_dim < 1 or dim % head_dim:
             raise ConfigError(f"head_dim {head_dim} must be positive and divide the width {dim}")
         route = self.route
         self.sequential = sequential
         self.heads = dim // head_dim
-        self.cpe = Cpe(store, f"{name}.cpe", dim, cpe_kernel) if route.cpe else None
+        self.cpe = Cpe(store, f"{name}.cpe", dim) if route.cpe else None
         qkv = []
         for p in "qkv":
             qkv += [store.weight(f"{name}.attn.w{p}", (dim, dim)),

@@ -27,16 +27,20 @@ import struct
 
 import numpy as np
 
+from .blocks import CPE_KERNEL
 from .errors import ConfigError, FormatError
-from .model import Model, VariantSpec, variant, variant_names
+from .model import EXPANSION, HEAD_DIM, META_DIM0, Model, VariantSpec, variant, variant_names
 
 MAGIC = b"LMVT"
 VERSION = 1
 DTYPE_F32 = 0
 
 _CONFIG_PREFIX = "config/"
-# the VariantSpec fields stored in config/scalars and config/toggles, in record order
-_SCALARS = ("meta_len", "meta_dim0", "head_dim", "expansion", "cpe_kernel", "num_classes")
+# config/scalars is [meta_len, *_SHARED values, num_classes]; a load refuses other
+# shared values, as no parameter shape would reveal a forged head width.
+# config/toggles holds the VariantSpec toggles, in record order.
+_SHARED = {"meta_dim0": META_DIM0, "head_dim": HEAD_DIM, "expansion": EXPANSION,
+           "cpe_kernel": CPE_KERNEL}
 _TOGGLES = ("use_ca_stage", "use_meta_stem", "use_meta_pooling", "dca_sequential")
 
 
@@ -136,7 +140,7 @@ def _config_tensors(spec: VariantSpec) -> dict[str, np.ndarray]:
     records = {
         "blocks": spec.blocks,
         "dims": spec.dims,
-        "scalars": [getattr(spec, field) for field in _SCALARS],
+        "scalars": [spec.meta_len, *_SHARED.values(), spec.num_classes],
         "toggles": [getattr(spec, field) for field in _TOGGLES],
     }
     return {_CONFIG_PREFIX + k: np.array(v, dtype=np.float32) for k, v in records.items()}
@@ -160,15 +164,19 @@ def _spec_from_config(cfg: dict[str, np.ndarray]) -> VariantSpec:
     dims = tuple(_config_ints(cfg, "dims"))
     scalars = _config_ints(cfg, "scalars")
     toggles = [bool(x) for x in _config_ints(cfg, "toggles", toggles=True)]
-    if len(scalars) != len(_SCALARS) or len(toggles) != len(_TOGGLES):
+    if len(scalars) != len(_SHARED) + 2 or len(toggles) != len(_TOGGLES):
         raise FormatError(
-            f"checkpoint config needs {len(_SCALARS)} scalars and {len(_TOGGLES)} toggles, "
+            f"checkpoint config needs {len(_SHARED) + 2} scalars and {len(_TOGGLES)} toggles, "
             f"got {len(scalars)} and {len(toggles)}"
         )
+    meta_len, *shared, num_classes = scalars
+    for entry, ((field, want), got) in enumerate(zip(_SHARED.items(), shared), start=1):
+        if got != want:
+            raise FormatError(f"'config/scalars' entry {entry} ({field}) is {got}, not {want}")
     name = next((known for known in variant_names()
                  if (variant(known).blocks, variant(known).dims) == (blocks, dims)), "custom")
     try:
-        return VariantSpec(name, blocks, dims, **dict(zip(_SCALARS, scalars)),
+        return VariantSpec(name, blocks, dims, meta_len, num_classes,
                            **dict(zip(_TOGGLES, toggles)))
     except ConfigError as exc:
         raise FormatError(f"checkpoint config is invalid: {exc}") from None

@@ -26,7 +26,7 @@ from . import checkpoint as ckpt
 from . import complexity, fileio, gradcheck, trainer
 from . import tensor as T
 from .errors import ConfigError, InputError, MetavitError, UsageError
-from .model import Model, export_attention_maps, variant, variant_names
+from .model import EXPANSION, Model, export_attention_maps, variant, variant_names
 from .tensor import Tensor
 
 # key -> (parser, default, help)
@@ -48,7 +48,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "n": (int, 3136, "image token count for the block-pair bench"),
     "m": (int, 16, "meta token count for the block-pair bench"),
     "d": (int, 64, "token width for the block-pair bench"),
-    "e": (int, 4, "feed-forward expansion for the block-pair bench"),
+    "e": (int, EXPANSION, "feed-forward expansion for the block-pair bench"),
     "steps": (int, 300, "training steps"),
     "batch_size": (int, 32, "training batch size"),
     "lr": (float, 1e-2, "learning rate"),
@@ -126,6 +126,8 @@ def _load_image(path: str) -> Tensor:
         arr = fileio.read_ppm(path)
     else:
         _, arr = fileio.read_tensor_file(path)
+    if arr.ndim != 3 or arr.shape[0] != 3:
+        raise InputError(f"image {path} must have shape (3, H, W), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise InputError(f"image {path} has NaN or infinite pixel values")
     return Tensor(arr)

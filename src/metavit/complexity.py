@@ -39,9 +39,9 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .blocks import BLOCKS, Route
+from .blocks import BLOCKS, CPE_KERNEL, Route
 from .errors import ConfigError, UsageError
-from .model import VariantSpec, group_layout
+from .model import EXPANSION, META_DIM0, VariantSpec, group_layout
 
 CONVENTION_NOTE = (
     "macs = conv + linear module MACs only (projections, FFN, stems, CPE, "
@@ -114,7 +114,7 @@ def _ffn_params(d: int, e: int) -> int:
     return d * hidden + hidden + hidden * d + d
 
 
-def block_cost(route: Route, n: int, m: int, d: int, e: int, cpe_kernel: int):
+def block_cost(route: Route, n: int, m: int, d: int, e: int):
     """(params, macs, attn_macs) of one block running ``route`` over n image and m meta tokens."""
     tokens = {"img": n, "meta": m}
     linear = d * d + d
@@ -122,8 +122,8 @@ def block_cost(route: Route, n: int, m: int, d: int, e: int, cpe_kernel: int):
     macs = 0
     attn_macs = 0
     if route.cpe:
-        params += d * cpe_kernel * cpe_kernel + d
-        macs += cpe_kernel * cpe_kernel * d * n
+        params += d * CPE_KERNEL * CPE_KERNEL + d
+        macs += CPE_KERNEL * CPE_KERNEL * d * n
     for s, src in route.branches:
         params += linear + 2 * d  # output projection, FFN norm
         macs += 2 * (tokens[s] + tokens[src]) * d * d  # q, out on s; k, v on src
@@ -140,8 +140,7 @@ def count_model(spec: VariantSpec, input_px: int, strict_dual: bool = False) -> 
 
     d1, d4 = spec.dims[0], spec.dims[-1]
     m = spec.meta_len
-    e = spec.expansion
-    k = spec.cpe_kernel
+    e = EXPANSION
     report = ComplexityReport()
 
     def grid(stride: int) -> int:
@@ -154,17 +153,16 @@ def count_model(spec: VariantSpec, input_px: int, strict_dual: bool = False) -> 
         ComplexityEntry("stem", "stem", grid(4), 0, d1, e, 0, 0, stem_macs, stem_params)
     )
 
-    meta_d0 = spec.meta_dim0 if spec.use_meta_stem else d1
+    meta_d0 = META_DIM0 if spec.use_meta_stem else d1
     report.entries.append(
         ComplexityEntry("meta.init", "param", 0, m, meta_d0, e, 0, 0, 0, m * meta_d0)
     )
     if spec.use_meta_stem:
-        d0 = spec.meta_dim0
         report.entries.append(
             ComplexityEntry(
                 "meta_stem", "stem", 0, m, d1, e, 0, 0,
-                m * (d0 * d1 + d1 * d1),
-                d0 * d1 + d1 + d1 * d1 + d1,
+                m * (META_DIM0 * d1 + d1 * d1),
+                META_DIM0 * d1 + d1 + d1 * d1 + d1,
             )
         )
 
@@ -172,7 +170,7 @@ def count_model(spec: VariantSpec, input_px: int, strict_dual: bool = False) -> 
     for gi, g in enumerate(layout):
         n = grid(g.stride)
         for bi in range(g.count):
-            params, macs, attn_macs = block_cost(BLOCKS[g.kind].route, n, m, g.dim, e, k)
+            params, macs, attn_macs = block_cost(BLOCKS[g.kind].route, n, m, g.dim, e)
             report.entries.append(
                 ComplexityEntry(
                     f"s{gi}.b{bi}", g.kind, n, m, g.dim, e,

@@ -140,7 +140,7 @@ _KERNEL_ROWS = [
      [(2, 5, 6), (2, 4, 6), (2, 4, 4)]),
     ("attention-unbounded", lambda q, k, v: _weighted_sum(T.attention(q, k, v, 1.0)),
      [(2, 5, 4), (2, 4, 4), (2, 4, 3)], _shared_first_key),
-    # a 5x5 CPE kernel (VariantSpec.cpe_kernel = 5)
+    # a depthwise kernel wider than the CPE's blocks.CPE_KERNEL = 3
     ("conv2d-depthwise-5x5", lambda x, w, b: _weighted_sum(T.conv2d(x, w, b)),
      [(2, 6, 7, 4), (4, 1, 5, 5), (4,)]),
     # queries (5, 8) and key/values (3, 8), then MhaParams' eight weights in field order

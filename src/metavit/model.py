@@ -27,6 +27,12 @@ from .errors import ConfigError, ContractError, InputError
 from .tensor import Tensor
 
 
+# settings every variant shares
+HEAD_DIM = 32  # attention head width
+EXPANSION = 4  # FFN hidden width over token width
+META_DIM0 = 64  # meta token width before the meta stem maps it to D1
+
+
 @dataclass(frozen=True)
 class VariantSpec:
     """Architecture description: block counts S0..S4 and stage widths D1..D4."""
@@ -35,10 +41,6 @@ class VariantSpec:
     blocks: tuple[int, int, int, int, int]
     dims: tuple[int, int, int, int]
     meta_len: int = 16
-    meta_dim0: int = 64
-    head_dim: int = 32
-    expansion: int = 4
-    cpe_kernel: int = 3
     num_classes: int = 1000
     use_ca_stage: bool = True
     use_meta_stem: bool = True
@@ -50,19 +52,12 @@ class VariantSpec:
             raise ConfigError("need 5 block counts and 4 stage widths")
         if any(b < 0 for b in self.blocks):
             raise ConfigError(f"block counts must be non-negative: {self.blocks}")
-        if self.head_dim < 1:
-            raise ConfigError(f"head_dim must be positive, got {self.head_dim}")
-        if any(d <= 0 or d % self.head_dim for d in self.dims):
-            raise ConfigError(
-                f"stage widths {self.dims} must be positive multiples of "
-                f"head_dim {self.head_dim}"
-            )
+        if any(d <= 0 or d % HEAD_DIM for d in self.dims):
+            raise ConfigError(f"dims {self.dims} must be positive multiples of {HEAD_DIM}")
         if self.meta_len < 2:
             raise ConfigError(f"meta_len must be >= 2, got {self.meta_len}")
-        if min(self.expansion, self.meta_dim0, self.num_classes, self.cpe_kernel) < 1:
-            raise ConfigError("expansion, meta_dim0, num_classes, cpe_kernel must be positive")
-        if self.cpe_kernel % 2 == 0:  # the CPE pads by k // 2, so an even k grows the grid
-            raise ConfigError(f"cpe_kernel must be odd, got {self.cpe_kernel}")
+        if self.num_classes < 1:
+            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
 
 
 _REGISTRY: dict[str, VariantSpec] = {
@@ -131,16 +126,14 @@ class Model:
         d1, d2, d3, d4 = spec.dims
 
         self.stem = ImageStem(store, "stem", d1)
-        meta_width0 = spec.meta_dim0 if spec.use_meta_stem else d1
+        meta_width0 = META_DIM0 if spec.use_meta_stem else d1
         self.meta_init = store.weight("meta.init", (spec.meta_len, meta_width0))
-        self.meta_stem = (
-            MetaStem(store, "meta_stem", spec.meta_dim0, d1) if spec.use_meta_stem else None
-        )
+        self.meta_stem = MetaStem(store, "meta_stem", META_DIM0, d1) if spec.use_meta_stem else None
 
         self.layout = group_layout(spec)
         self.groups = [
-            [BLOCKS[g.kind](store, f"s{gi}.b{bi}", g.dim, spec.head_dim, spec.expansion,
-                            sequential=spec.dca_sequential, cpe_kernel=spec.cpe_kernel)
+            [BLOCKS[g.kind](store, f"s{gi}.b{bi}", g.dim, HEAD_DIM, EXPANSION,
+                            sequential=spec.dca_sequential)
              for bi in range(g.count)]
             for gi, g in enumerate(self.layout)
         ]

@@ -81,7 +81,7 @@ FORGE_FACTOR = 4
 FORGERIES = [
     ("config/dims", slice(None), "stem.conv1.w"),
     ("config/blocks", slice(None), "s0.b1.attn.wq"),
-    ("config/scalars", 3, "s0.b0.ffn.w1"),  # the FFN expansion
+    ("config/scalars", 0, "meta.init"),  # meta_len
 ]
 
 
@@ -94,13 +94,21 @@ def forge_config(path: str, key: str, entries) -> None:
 
 # ``config/*`` values of a saved ``tiny-narrow`` checkpoint that are not
 # the integers (or, for toggles, the 0 and 1) a config holds, as (config
-# record, entry, value). Truncated, the first three would still load.
+# record, entry, value). Read as int or bool, the first and third would
+# still load.
 BAD_CONFIG_VALUES = [
     ("config/dims", 0, 32.75),
-    ("config/scalars", 2, 16.9),  # head_dim: 1 head of 32 would run as 2 of 16
+    ("config/scalars", 2, 16.9),  # the head width
     ("config/toggles", 0, 0.5),
     ("config/toggles", 1, 2.0),
 ]
+
+
+# ``config/scalars`` entries 1-4, the settings every variant shares, as
+# (entry, field, a value other than the shared one). The head width
+# shapes no parameter, so 16 would run 2 heads of 16 on the same weights.
+SHARED_SCALARS = [(1, "meta_dim0", 32), (2, "head_dim", 16), (3, "expansion", 2),
+                  (4, "cpe_kernel", 5)]
 
 
 def set_config(path: str, key: str, entry: int, value: float) -> None:

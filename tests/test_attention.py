@@ -10,7 +10,7 @@ from metavit import tensor as T
 from metavit.blocks import BLOCKS, ParamStore
 from metavit.complexity import count_model
 from metavit.errors import ConfigError, DimensionError
-from metavit.model import variant
+from metavit.model import HEAD_DIM, variant
 from metavit.tensor import Graph, MacCounter, Tensor
 
 
@@ -421,7 +421,7 @@ class TestSoftmaxPaths:
         for row in count_model(spec, 224).entries:
             if row.kind in BLOCKS:
                 tokens = {"img": row.n, "meta": row.m}
-                folds += [T._LOG2_E / entropy_scale(tokens[s], tokens[src], spec.head_dim)
+                folds += [T._LOG2_E / entropy_scale(tokens[s], tokens[src], HEAD_DIM)
                           for s, src in BLOCKS[row.kind].route.branches]
         assert len(folds) > 10 and max(folds) < 1
         # the largest is meta <- image in stage 1: (16, 3136) at head width 32

@@ -144,14 +144,14 @@ class TestDownsample:
 class TestCpe:
     def test_zero_weights_identity(self, rng):
         store = ParamStore(0)
-        cpe = Cpe(store, "cpe", DIM, 3)
+        cpe = Cpe(store, "cpe", DIM)
         zero_block_params(store)
         grid, tokens = make_grid(rng)
         out = cpe(grid)
         assert_allclose(out.tokens.data, tokens)
 
     def test_positional_sensitivity(self, rng):
-        cpe = Cpe(ParamStore(0), "cpe", DIM, 3)
+        cpe = Cpe(ParamStore(0), "cpe", DIM)
         grid, tokens = make_grid(rng)
         perm = rng.permutation(16)
         base = cpe(grid).tokens.data
@@ -160,7 +160,7 @@ class TestCpe:
         assert np.abs(base[perm] - permuted).max() > 1e-3
 
     def test_one_wide_grid_rejected(self, rng):
-        cpe = Cpe(ParamStore(0), "cpe", DIM, 3)
+        cpe = Cpe(ParamStore(0), "cpe", DIM)
         with pytest.raises(ContractError):
             cpe(TokenGrid(Tensor(np.zeros((4, DIM), dtype=np.float32)), 4, 1))
 
@@ -182,7 +182,7 @@ def _build(kind, seed=0, dtype=np.float32, **kw):
 
 class TestSharedConstructor:
     @pytest.mark.parametrize("kind,ignored", [
-        ("ca", {"sequential": True, "cpe_kernel": 5}),
+        ("ca", {"sequential": True}),
         ("sa", {"sequential": True}),
     ])
     def test_ignored_arguments_change_nothing(self, rng, kind, ignored):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import metavit
-from conftest import BAD_CONFIG_VALUES, FORGERIES, forge_config, set_config
+from conftest import BAD_CONFIG_VALUES, FORGERIES, SHARED_SCALARS, forge_config, set_config
 from metavit import cli, fileio
 from metavit.checkpoint import load_checkpoint, load_tensors, save_checkpoint, save_tensors
 from metavit.cli import config_flags, main
@@ -212,6 +212,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(key) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry,field,value", SHARED_SCALARS)
+    def test_shared_setting_in_config_is_one_line_data_error(self, capsys, ckpt_file, image_file,
+                                                             entry, field, value):
+        set_config(ckpt_file, "config/scalars", entry, value)
+        assert main(["infer", "--checkpoint", ckpt_file, "--image", image_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"entry {entry} ({field})" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["infer", "attmap"])
+    @pytest.mark.parametrize("shape", [(2, 3, 64, 64), (1, 3, 64, 64), (4, 64, 64), (64, 64)])
+    def test_image_not_3_h_w_is_one_line_data_error(self, tmp_path, capsys, ckpt_file, rng,
+                                                    command, shape):
+        path = tmp_path / "bad.ten"
+        fileio.write_tensor_file(str(path), rng.standard_normal(shape).astype(np.float32),
+                                 name="image")
+        extra = ["--out-dir", str(tmp_path / "maps")] if command == "attmap" else []
+        code = main([command, "--checkpoint", ckpt_file, "--image", str(path)] + extra)
+        captured = capsys.readouterr()
+        assert code == 2 and "logits" not in captured.out
+        assert captured.err == f"error: image {path} must have shape (3, H, W), got {shape}\n"
+        assert not (tmp_path / "maps").exists()
 
     @pytest.mark.parametrize("command", ["infer", "attmap"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -152,7 +152,7 @@ class TestEmpiricalAgreement:
         with T.no_grad(), MacCounter() as meter:
             block(grid, meta)
 
-        params, macs, attn_macs = block_cost(block.route, n, m, d, e, 3)
+        params, macs, attn_macs = block_cost(block.route, n, m, d, e)
         assert meter.total == macs + attn_macs
         assert params == store.total_size()
 

@@ -22,8 +22,7 @@ from metavit.errors import FormatError
 from metavit.fileio import read_pgm16, read_ppm, read_tensor_file
 from metavit.model import Model, VariantSpec
 
-SMALL = VariantSpec("custom", (1, 1, 1, 1, 1), (8, 8, 8, 8), meta_len=2, meta_dim0=4,
-                    head_dim=8, expansion=1, num_classes=2)
+SMALL = VariantSpec("custom", (1, 1, 1, 1, 1), (32,) * 4, meta_len=2, num_classes=2)
 
 
 def _lmvt() -> bytes:

@@ -9,12 +9,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import BAD_CONFIG_VALUES, FORGERIES, forge_config, set_config
+from conftest import BAD_CONFIG_VALUES, FORGERIES, SHARED_SCALARS, forge_config, set_config
 from metavit import blocks, checkpoint, complexity
 from metavit import tensor as T
 from metavit.checkpoint import load_checkpoint, load_tensors, save_checkpoint, save_tensors
 from metavit.errors import ConfigError, ContractError, FormatError, InputError
-from metavit.model import build_variant, export_attention_maps, variant, variant_names
+from metavit.model import (
+    EXPANSION,
+    HEAD_DIM,
+    META_DIM0,
+    build_variant,
+    export_attention_maps,
+    variant,
+    variant_names,
+)
 from metavit.tensor import Tensor
 
 
@@ -37,12 +45,15 @@ class TestRegistry:
         assert variant("base").dims == (96, 192, 384, 512)
 
     def test_shared_settings(self):
+        assert (HEAD_DIM, EXPANSION, blocks.CPE_KERNEL, META_DIM0) == (32, 4, 3, 64)
         for name in ("tiny", "small", "base"):
-            spec = variant(name)
-            assert spec.meta_len == 16
-            assert spec.head_dim == 32
-            assert spec.expansion == 4
-            assert spec.cpe_kernel == 3
+            assert variant(name).meta_len == 16
+        model = build_variant(variant("tiny"), 0)
+        params = model.parameters()
+        assert params["meta.init"].shape == (16, 64)
+        assert params["s1.b0.cpe.w"].shape == (64, 1, 3, 3)
+        assert params["s3.b0.ffn.w1"].shape == (192, 4 * 192)
+        assert [g[0].heads for g in model.groups] == [2, 2, 4, 6, 10]
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
@@ -52,20 +63,13 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             variant("tiny", meta_len=1)
 
-    def test_zero_head_dim_rejected(self):
-        with pytest.raises(ConfigError):
-            variant("tiny", head_dim=0)
-
-    @pytest.mark.parametrize("kernel", [0, -1])
-    def test_cpe_kernel_below_one_rejected(self, kernel):
-        with pytest.raises(ConfigError, match="cpe_kernel"):
-            variant("tiny", cpe_kernel=kernel)
-
-    @pytest.mark.parametrize("kernel", [2, 4])
-    def test_even_cpe_kernel_rejected(self, kernel):
-        # padded by k // 2, an even kernel would grow the 16x16 grid to 17x17
-        with pytest.raises(ConfigError, match=f"cpe_kernel must be odd, got {kernel}"):
-            variant("tiny-narrow", cpe_kernel=kernel)
+    @pytest.mark.parametrize("field,value", [
+        ("dims", (32, 64, 96, 112)), ("dims", (0, 64, 96, 128)), ("num_classes", 0),
+    ])
+    def test_each_error_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} ") as err:
+            variant("tiny-narrow", **{field: value})
+        assert str(value) in str(err.value)
 
     # sha256 over each seed-0 parameter's name, shape and float32 bytes, in
     # registration order; any change to initialization or naming moves it
@@ -96,9 +100,8 @@ class TestForward:
             (16, 16, 32), (8, 8, 64), (4, 4, 96), (2, 2, 128),
         ]
 
-    @pytest.mark.parametrize("kernel", [1, 3, 5])
-    def test_cpe_kernel_keeps_grids_and_counted_macs(self, rng, kernel):
-        spec = variant("tiny-narrow", num_classes=3, cpe_kernel=kernel)
+    def test_cpe_keeps_grids_and_counted_macs(self, rng):
+        spec = variant("tiny-narrow", num_classes=3)
         model = build_variant(spec, 0)
         img = toy_image(rng, batch=2)
         with T.no_grad():
@@ -370,7 +373,16 @@ class TestCheckpoint:
         path = str(tmp_path / "m.lmvt")
         save_checkpoint(toy_model(), path)
         set_config(path, "config/scalars", 4, 4)  # cpe_kernel
-        with pytest.raises(FormatError, match="cpe_kernel must be odd, got 4"):
+        with pytest.raises(FormatError, match=re.escape("entry 4 (cpe_kernel) is 4, not 3")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry,field,value", SHARED_SCALARS)
+    def test_shared_setting_in_config_rejected(self, tmp_path, entry, field, value):
+        path = str(tmp_path / "m.lmvt")
+        save_checkpoint(toy_model(), path)
+        set_config(path, "config/scalars", entry, value)
+        with pytest.raises(FormatError,
+                           match=re.escape(f"entry {entry} ({field}) is {value}, not")):
             load_checkpoint(path)
 
     def test_config_record_read_as_flat_values(self, tmp_path):
