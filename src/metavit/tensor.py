@@ -675,11 +675,31 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def _windows(a: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """The (B, Ho, Wo, k, k, C) view of the k x k window of (B, H, W, C) ``a``
-    that each output position reads."""
+    that each output position reads: the dense im2col rows and the operand
+    of the depthwise dw."""
     s0, s1, s2, s3 = a.strides
     return np.lib.stride_tricks.as_strided(
         a, (a.shape[0], ho, wo, k, k, a.shape[3]), (s0, stride * s1, stride * s2, s1, s2, s3)
     )
+
+
+def _depthwise(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The stride-1 correlation of (B, H, W, C) ``a`` with (k, k, C) ``taps``,
+    each channel with its own taps: (B, H - k + 1, W - k + 1, C).
+
+    In C order, tap (i, j) reads for output row y one contiguous run of
+    Wo*C values, ``a[:, y + i, j : j + Wo]``. One einsum contracts the
+    (B, Ho, k, k, Wo*C) view of those runs with the taps tiled Wo times, so
+    numpy's inner loop covers Wo*C values rather than C. Each output sums
+    its taps in (i, j) order, as an einsum over the windows does, so the
+    two agree bit for bit. The runs need ``a`` in C order, as a Tensor's
+    data and a fresh array are."""
+    k = taps.shape[0]
+    bsz, h, w, c = a.shape
+    ho, wo = h - k + 1, w - k + 1
+    s0, s1, s2, s3 = a.strides
+    runs = np.lib.stride_tricks.as_strided(a, (bsz, ho, k, k, wo * c), (s0, s1, s1, s2, s3))
+    return np.einsum("bhijx,ijx->bhx", runs, np.tile(taps, (1, 1, wo))).reshape(bsz, ho, wo, c)
 
 
 def _dense_rows(w: np.ndarray) -> np.ndarray:
@@ -706,16 +726,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     depthwise (so with Cin = 1 a (Cout, 1, k, k) weight is dense); any
     other weight, a stride below 1 or an empty H or W raises
     ``DimensionError``. A token grid (..., H*W, D) reshaped to
-    (..., H, W, D) is a valid input without a copy. Every output position
-    reads a (k, k, Cin) window of one strided view.
+    (..., H, W, D) is a valid input without a copy.
 
-    Depthwise, the forward and dw are one einsum over the windows each, and
-    dx is the forward's window einsum again, with the kernel flipped in
-    both axes, over an (H + k - 1, W + k - 1) zero grid that holds the
-    output gradient ``stride`` apart from offset k - 1 - k // 2. Dense,
-    the windows are copied into (B*Ho*Wo, k*k*Cin) im2col rows, and the
-    forward, dw and dx are one matrix product each, the forward and dx
-    against the weight as (Cout, k*k*Cin) rows (``_dense_rows``, formed
+    Depthwise, the forward and dx are each one einsum over contiguous row
+    runs (``_depthwise``). The forward correlates the padded input at
+    stride 1 and keeps every ``stride``-th row and column. dx correlates,
+    with the kernel flipped in both axes, an (H + k - 1, W + k - 1) zero
+    grid that holds the output gradient ``stride`` apart from offset
+    k - 1 - k // 2; it is a fresh C-ordered array. dw is one einsum over
+    the (k, k, Cin) window that each output position reads from one
+    strided view of the padded input. Dense, those windows are copied into
+    (B*Ho*Wo, k*k*Cin) im2col rows, and the forward, dw and dx are one
+    matrix product each, the forward and dx against the weight as
+    (Cout, k*k*Cin) rows (``_dense_rows``, formed
     again in backward rather than kept). dx then adds the taps' columns of
     that product into a zeroed padded buffer (col2im), one stride x stride
     block of taps per pass: the taps of a block write disjoint positions,
@@ -752,7 +775,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     n = bsz * ho * wo
     wdata = w.data
     if depthwise:
-        out = np.einsum("bhwijc,ijc->bhwc", win, _depthwise_taps(wdata))
+        out = _depthwise(xp, _depthwise_taps(wdata))[:, ::stride, ::stride]
     else:
         out = (win.reshape(n, k * k * cin) @ _dense_rows(wdata).T).reshape(bsz, ho, wo, cout)
     out += b.data
@@ -763,8 +786,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
             lead = k - 1 - pad
             grid = np.zeros((bsz, h + k - 1, wd_ + k - 1, cin), dtype=gg.dtype)
             grid[:, lead : lead + ho * stride : stride, lead : lead + wo * stride : stride] = gg
-            flipped = _depthwise_taps(wdata)[::-1, ::-1]
-            dx = np.einsum("bhwijc,ijc->bhwc", _windows(grid, k, 1, h, wd_), flipped)
+            dx = _depthwise(grid, _depthwise_taps(wdata)[::-1, ::-1])
         else:
             dcols = gg.reshape(n, cout) @ _dense_rows(wdata)
             dcols = dcols.reshape(bsz, ho, wo, k, k, cin)

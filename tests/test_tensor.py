@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import erf
 
 from conftest import naive_conv2d, naive_matmul, weighted_sum
@@ -424,6 +424,68 @@ class TestConv2d:
         assert_allclose(x.grad, dx if batched else dx[0], rtol=0, atol=1e-10)
         assert_allclose(w.grad, dw, rtol=0, atol=1e-10)
         assert_allclose(b.grad, db, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,k,stride", [
+        *((shape, k, stride)
+          for shape in ((2, 7, 6, 5), (6, 9, 4), (2, 4, 5, 3), (8, 8, 2))
+          for k in (1, 3, 5) for stride in (1, 2, 3)),
+        ((56, 56, 64), 3, 1),  # the CPE of tiny's first stage at 224 px
+        ((32, 16, 16, 32), 3, 1),  # the CPE of a batch-32 tiny-narrow step at 64 px
+    ])
+    def test_depthwise_bit_identical_to_window_einsum(self, rng, dtype, shape, k, stride):
+        # a reordered sum changes low bits, which the float64 loop-VJP test's
+        # atol cannot see: output and x.grad must equal the window einsum exactly
+        x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+        c = shape[-1]
+        w = Tensor(rng.standard_normal((c, 1, k, k)).astype(dtype))
+        b = Tensor(rng.standard_normal(c).astype(dtype))
+        out = T.conv2d(x, w, b, stride=stride)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        T.backward(weighted_sum(out, g))
+        batched = len(shape) == 4
+        xb, gb = (x.data, g) if batched else (x.data[None], g[None])
+        want, dx = _window_einsum_depthwise(xb, w.data, gb, stride)
+        assert_array_equal(out.data, (want + b.data) if batched else (want + b.data)[0])
+        assert_array_equal(x.grad, dx if batched else dx[0])
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "3d"])
+    @pytest.mark.parametrize("k,stride", [(1, 1), (3, 1), (3, 2)])
+    def test_depthwise_dx_is_c_contiguous(self, rng, batched, k, stride):
+        # so the reshape VJP of a token grid's image view (TokenGrid.image)
+        # hands the CPE's input gradient back to the tokens without a copy
+        shape = (2, 5, 6, 4) if batched else (5, 6, 4)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        out = T.conv2d(x, Tensor(rng.standard_normal((4, 1, k, k))), Tensor(np.zeros(4)),
+                       stride=stride)
+        dx = out.node.vjp(rng.standard_normal(out.shape))[0]
+        assert dx.shape == shape and dx.flags.c_contiguous
+        assert np.shares_memory(dx.reshape(shape[:-3] + (30, 4)), dx)
+
+
+def _window_einsum_depthwise(x, w, g, stride):
+    """Forward (bias-free) and dx of a channels-last depthwise conv padded by
+    k // 2, each one einsum over a (B, Ho, Wo, k, k, C) window view: the
+    forward over the padded input, dx with the kernel flipped in both axes
+    over the zero grid that holds ``g`` ``stride`` apart (the stride-stuffed
+    output gradient). x is (B, H, W, C), w is (C, 1, k, k), g is (B, Ho, Wo, C)."""
+    bsz, h, wd, c = x.shape
+    k = w.shape[-1]
+    pad, (ho, wo) = k // 2, g.shape[1:3]
+    taps = np.ascontiguousarray(w[:, 0].transpose(1, 2, 0))
+
+    def windows(a, step, rows, cols):
+        s0, s1, s2, s3 = a.strides
+        return np.lib.stride_tricks.as_strided(
+            a, (bsz, rows, cols, k, k, c), (s0, step * s1, step * s2, s1, s2, s3))
+
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    out = np.einsum("bhwijc,ijc->bhwc", windows(xp, stride, ho, wo), taps)
+    lead = k - 1 - pad
+    grid = np.zeros((bsz, h + k - 1, wd + k - 1, c), dtype=g.dtype)
+    grid[:, lead : lead + ho * stride : stride, lead : lead + wo * stride : stride] = g
+    dx = np.einsum("bhwijc,ijc->bhwc", windows(grid, 1, h, wd), taps[::-1, ::-1])
+    return out, dx
 
 
 def _loop_conv2d_vjp(x, w, g, stride, padding):
