@@ -102,24 +102,15 @@ def _one_blas_thread():
 
 
 def _time_loop(fn, warmup: int, iters: int) -> list[float]:
-    return _time_in_turn([fn], warmup, iters)[0]
-
-
-def _time_in_turn(fns, warmup: int, iters: int) -> list[list[float]]:
-    """Per-call times of each of ``fns``, called in turn: on a shared host
-    whole windows of calls can run slower, and taking the calls in turn
-    puts every function's samples in the same windows."""
-    samples = [[] for _ in fns]
     with _one_blas_thread():
         for _ in range(warmup):
-            for fn in fns:
-                fn()
+            fn()
+        samples = []
         for _ in range(iters):
-            for fn, times in zip(fns, samples):
-                t0 = time.perf_counter()
-                fn()
-                t1 = time.perf_counter()
-                times.append(t1 - t0)
+            t0 = time.perf_counter()
+            fn()
+            t1 = time.perf_counter()
+            samples.append(t1 - t0)
     return samples
 
 
@@ -164,10 +155,18 @@ def check_model(input_px: int, iters: int, warmup: int) -> None:
                          f"got {input_px}")
 
 
-def _block_pair_runs(n: int, m: int, d: int, e: int, seed: int):
-    """The no-grad forwards of one DCABlock and one SABlock, both built from
-    ``seed`` and fed the same random (n, d) token grid and (m, d) meta
-    tokens, as two argument-free callables."""
+def bench_block_pair(
+    n: int, m: int, d: int, e: int = EXPANSION, iters: int = MIN_ITERS,
+    warmup: int = MIN_WARMUP, seed: int = 0,
+) -> tuple[BenchResult, BenchResult]:
+    """Forward-only latency of one dual cross-attention vs one standard block.
+
+    Both blocks are freshly built from the same seed and fed the same random
+    token grid. Heads are HEAD_DIM wide when HEAD_DIM divides ``d``, and
+    otherwise as wide as the largest divisor of ``d`` below it. Speedup is
+    sa.median_s / dca.median_s.
+    """
+    check_block_pair(n, m, d, e, iters, warmup)
     side = math.isqrt(n)
     head_dim = max(h for h in range(1, min(HEAD_DIM, d) + 1) if d % h == 0)
     store = ParamStore(seed)
@@ -183,29 +182,13 @@ def _block_pair_runs(n: int, m: int, d: int, e: int, seed: int):
                 block(TokenGrid(Tensor(tokens), side, side), Tensor(meta))
         return fn
 
-    return run(dca), run(sa)
-
-
-def bench_block_pair(
-    n: int, m: int, d: int, e: int = EXPANSION, iters: int = MIN_ITERS,
-    warmup: int = MIN_WARMUP, seed: int = 0,
-) -> tuple[BenchResult, BenchResult]:
-    """Forward-only latency of one dual cross-attention vs one standard block.
-
-    Both blocks are freshly built from the same seed and fed the same random
-    token grid. Heads are HEAD_DIM wide when HEAD_DIM divides ``d``, and
-    otherwise as wide as the largest divisor of ``d`` below it. Speedup is
-    sa.median_s / dca.median_s.
-    """
-    check_block_pair(n, m, d, e, iters, warmup)
-    dca, sa = _block_pair_runs(n, m, d, e, seed)
     # Warm both blocks before timing either. The first block timed in a
     # process otherwise runs about 25% slower than in later calls, until the
     # other block's larger buffers have grown the allocator's pools.
-    for fn in (dca, sa) * 2:
+    for fn in (run(dca), run(sa)) * 2:
         fn()
-    dca_samples = _time_loop(dca, warmup, iters)
-    sa_samples = _time_loop(sa, warmup, iters)
+    dca_samples = _time_loop(run(dca), warmup, iters)
+    sa_samples = _time_loop(run(sa), warmup, iters)
     return (
         _result("dca", n, m, d, warmup, dca_samples),
         _result("sa", n, m, d, warmup, sa_samples),

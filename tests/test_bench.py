@@ -1,11 +1,9 @@
-import statistics
-
 import pytest
 
 from metavit import bench
 from metavit.bench import bench_block_pair, bench_model, speedup
 from metavit.errors import UsageError
-from metavit.model import EXPANSION, variant
+from metavit.model import variant
 
 
 class TestBenchBlockPair:
@@ -64,10 +62,10 @@ class TestOrdering:
         assert speedup(sa, dca) > 1.0
 
     def test_run_to_run_median_stability(self):
-        # Two seeds' DCA runs, timed call by call in turn so that a slow
-        # window of a shared host falls on both medians alike.
-        runs = [bench._block_pair_runs(1024, 16, 64, EXPANSION, seed)[0] for seed in range(2)]
-        medians = [statistics.median(s) for s in bench._time_in_turn(runs, 10, 30)]
+        medians = []
+        for run in range(2):
+            dca, _ = bench_block_pair(1024, 16, 64, iters=30, warmup=10, seed=run)
+            medians.append(dca.median_s)
         spread = abs(medians[0] - medians[1]) / min(medians)
         assert spread < 0.10
 
